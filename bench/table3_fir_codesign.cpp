@@ -91,8 +91,9 @@ int main(int argc, char** argv) {
 
   // Reliability leg of the DSE (beyond the paper's Table 3): what each
   // variant's cost actually buys in realization-level coverage, measured
-  // by the batched system-level campaign engine (64 faults per bit-plane
-  // sweep through the compiled netlist plan, sharded across the pool).
+  // by the batched system-level campaign engine (up to W faults per
+  // bit-plane sweep through the compiled netlist plan, sharded across the
+  // pool).
   sck::hls::NetlistCampaignOptions cov_opt;
   cov_opt.samples_per_fault = 24;
   cov_opt.fault_stride = 3;

@@ -59,8 +59,8 @@ struct FlowReport {
 /// Reliability leg of the design-space exploration: the realization-level
 /// fault coverage of one synthesized design, measured by sweeping its
 /// complete FU stuck-at universe through the system-level campaign engine
-/// (hls/netlist_campaign.h — by default the 64-lane bit-plane netlist
-/// backend, 64 faults per sweep, multithreaded; bit-identical to the
+/// (hls/netlist_campaign.h — by default the W-lane bit-plane netlist
+/// backend, up to W faults per sweep, multithreaded; bit-identical to the
 /// scalar interpreter at any lane packing and thread count).
 struct CoverageReport {
   Variant variant = Variant::kPlain;

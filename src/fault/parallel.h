@@ -67,56 +67,52 @@ namespace sck::fault {
 /// schedule. This is the engine under the campaign drivers below and under
 /// the netlist campaign (hls/netlist_campaign.cpp).
 ///
-/// Error contract: an exception thrown by `make_state` or `eval` on a pool
-/// thread does NOT std::terminate the process. The first exception is
-/// captured, the remaining shards are cancelled (workers stop pulling new
-/// jobs; in-flight evaluations finish), every worker is joined, and the
-/// captured exception is rethrown on the calling thread — so a throwing
-/// trial surfaces as a normal catchable error at any thread count, exactly
-/// like the single-threaded path. After a throw the caller's j-indexed
-/// slots are only partially filled; callers must not reduce them.
+/// Workers: min(resolve_threads(threads), jobs), each building exactly one
+/// state (none at all for zero jobs). The calling thread is one of them:
+/// it spawns workers - 1 pool threads and pulls jobs from the same cursor
+/// instead of idling in join, so a one-worker call spawns nothing.
+///
+/// Error contract: an exception thrown by `make_state` or `eval` on any
+/// worker — pool thread or caller — does NOT std::terminate the process.
+/// The first exception is captured, the remaining shards are cancelled
+/// (workers stop pulling new jobs; in-flight evaluations finish), every
+/// pool thread is joined, and the captured exception is rethrown on the
+/// calling thread — so a throwing trial surfaces as a normal catchable
+/// error at any thread count. After a throw the caller's j-indexed slots
+/// are only partially filled; callers must not reduce them.
 template <typename MakeState, typename Eval>
 void parallel_shard(std::size_t jobs, int threads, MakeState&& make_state,
                     const Eval& eval) {
   // Never spawn more workers (and contexts) than there are jobs.
-  const int workers = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(resolve_threads(threads)),
-      jobs == 0 ? 1 : jobs));
+  const std::size_t workers = std::min<std::size_t>(
+      static_cast<std::size_t>(resolve_threads(threads)), jobs);
   std::atomic<std::size_t> cursor{0};
   std::atomic<bool> cancelled{false};
+  std::exception_ptr first_error;
+  std::mutex error_mutex;
 
-  const auto work = [&](auto& state) {
-    while (!cancelled.load(std::memory_order_relaxed)) {
-      const std::size_t j = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (j >= jobs) break;
-      eval(state, j);
+  const auto shard = [&] {
+    try {
+      auto state = make_state();
+      while (!cancelled.load(std::memory_order_relaxed)) {
+        const std::size_t j = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (j >= jobs) break;
+        eval(state, j);
+      }
+    } catch (...) {
+      {
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (!first_error) first_error = std::current_exception();
+      }
+      cancelled.store(true, std::memory_order_relaxed);
     }
   };
 
-  if (workers <= 1 || jobs <= 1) {
-    auto state = make_state();
-    work(state);
-    return;
-  }
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
+  if (workers == 0) return;
   std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    pool.emplace_back([&make_state, &work, &cancelled, &first_error,
-                       &error_mutex] {
-      try {
-        auto state = make_state();
-        work(state);
-      } catch (...) {
-        {
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-        }
-        cancelled.store(true, std::memory_order_relaxed);
-      }
-    });
-  }
+  pool.reserve(workers - 1);
+  for (std::size_t w = 1; w < workers; ++w) pool.emplace_back(shard);
+  shard();
   for (std::thread& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);
 }

@@ -65,6 +65,30 @@ constexpr std::uint64_t kSeuSalt = 0x9E6C63D0876A9A4FULL;
   return stream;
 }
 
+/// Lanes of `got` that differ from the scalar `want` in every lane: what
+/// differing_lanes(got, broadcast_word<P>(want, width)) returns for a
+/// width-truncated `want`, without materialising the broadcast planes.
+template <typename P>
+[[nodiscard]] P lanes_differing_from(const hw::BatchWordT<P>& got, Word want) {
+  P diff{};
+  for (int b = 0; b < kMaxWidth + 2; ++b) {
+    diff |= (want >> b & 1) != 0 ? ~got[b] : got[b];
+  }
+  return diff;
+}
+
+/// Plane width of one run_jobs call: halve the campaign's maximum width
+/// while the call has fewer batches than workers, down to 64 lanes. A
+/// small call (a sampled block, a service shard) then gives every thread a
+/// batch, and each narrower batch replays a narrower union cone. Per-job
+/// stats are lane-width invariant, so the result bytes cannot move.
+[[nodiscard]] int call_lanes(int max_lanes, std::size_t jobs, int threads) {
+  const auto workers = static_cast<std::size_t>(fault::resolve_threads(threads));
+  auto lanes = static_cast<std::size_t>(max_lanes);
+  while (lanes > 64 && (jobs + lanes - 1) / lanes < workers) lanes /= 2;
+  return static_cast<int>(lanes);
+}
+
 /// One injected-fault run on the scalar backend: an input stream through
 /// the faulty netlist against the fault-free reference model. The stream
 /// is per-fault (seeded by the GLOBAL `fault_index`) or, when
@@ -255,8 +279,8 @@ void run_fault_batch(const Dfg& graph, NetlistBatchSimT<P>& sim,
 
 /// One W-fault batch on the incremental backend over an arbitrary job-id
 /// list: replay the union fan-out cone of the batch's faults over the
-/// precomputed golden trace, classifying against the pre-broadcast
-/// reference outputs. Duration-model extensions:
+/// precomputed golden trace, classifying against the scalar reference
+/// outputs `want_values` (samples x outputs). Duration-model extensions:
 ///   - samples before the batch's earliest possible divergence (the
 ///     minimum first_active_sample over its lanes) are not simulated at
 ///     all — every lane is provably golden there, so the precomputed
@@ -272,7 +296,7 @@ void run_fault_batch(const Dfg& graph, NetlistBatchSimT<P>& sim,
 template <typename P>
 void run_incremental_batch(NetlistIncrementalSimT<P>& sim,
                            const GoldenTrace& trace,
-                           std::span<const hw::BatchWordT<P>> want_planes,
+                           std::span<const Word> want_values,
                            std::span<const fault::Outcome> golden_outcome,
                            std::span<const FaultJob> jobs,
                            std::span<const std::uint64_t> ids, std::size_t at,
@@ -347,9 +371,9 @@ void run_incremental_batch(NetlistIncrementalSimT<P>& sim,
     P erroneous{};
     for (std::size_t i = 0; i < num_outputs; ++i) {
       if (static_cast<std::int32_t>(i) == error_output) continue;
-      erroneous |= hw::differing_lanes(
+      erroneous |= lanes_differing_from(
           batch_out[i],
-          want_planes[static_cast<std::size_t>(k) * num_outputs + i]);
+          want_values[static_cast<std::size_t>(k) * num_outputs + i]);
     }
     const P detected =
         error_output >= 0
@@ -502,7 +526,7 @@ struct CampaignSliceRunner::Impl {
   std::vector<FaultJob> jobs;
   std::vector<Word> shared_stream;  ///< kShared only
   // Incremental backend only: cones + golden trace + the scalar reference
-  // outputs (broadcast to planes per run_slice call, cheap).
+  // outputs (compared bit by bit against the replayed planes).
   std::unique_ptr<FaultCones> cones;
   GoldenTrace trace;
   std::vector<Word> want_values;  ///< samples x outputs, width-truncated
@@ -598,14 +622,10 @@ CampaignSliceRunner::CampaignSliceRunner(const Dfg& graph,
             hw::Plane64 erroneous{};
             for (std::size_t i = 0; i < num_outputs; ++i) {
               if (static_cast<std::int32_t>(i) == error_output) continue;
-              const Node& n = impl->graph.node(impl->graph.outputs()[i]);
-              erroneous |= hw::differing_lanes(
-                  go[i],
-                  hw::broadcast_word<hw::Plane64>(
-                      impl->want_values[static_cast<std::size_t>(k) *
-                                            num_outputs +
-                                        i],
-                      n.width));
+              erroneous |= lanes_differing_from(
+                  go[i], impl->want_values[static_cast<std::size_t>(k) *
+                                               num_outputs +
+                                           i]);
             }
             const hw::Plane64 detected =
                 error_output >= 0
@@ -658,16 +678,20 @@ void CampaignSliceRunner::run_jobs(std::span<const std::uint64_t> ids,
           out[j] = run_one_fault(im.graph, sim, options, jobs[ids[j]],
                                  ids[j], im.shared_stream);
         });
-  } else if (options.backend == NetlistBackend::kBatched) {
-    // Shard W-fault batches; each worker owns a batched simulator over
-    // the shared plan plus a copy of one compiled reference evaluator.
-    // The lane width only sizes the batches — per-job slots and the
-    // job-order reduction are width-invariant.
-    //
-    // The reference "error" flag is never read (it is 0 by construction
-    // on fault-free hardware), so the reference skips the check cone; the
-    // prototype is compiled (topo + DCE) once and copied per worker.
-    hw::dispatch_plane(im.lane_width, [&]<typename P>(std::type_identity<P>) {
+    return;
+  }
+
+  // Shard W-fault batches at this call's width (call_lanes). The lane width
+  // only sizes the batches — per-job slots and the job-order reduction are
+  // width-invariant.
+  const int lanes = call_lanes(im.lane_width, ids.size(), options.threads);
+  if (options.backend == NetlistBackend::kBatched) {
+    // Each worker owns a batched simulator over the shared plan plus a
+    // copy of one compiled reference evaluator. The reference "error" flag
+    // is never read (it is 0 by construction on fault-free hardware), so
+    // the reference skips the check cone; the prototype is compiled (topo
+    // + DCE) once and copied per worker.
+    hw::dispatch_plane(lanes, [&]<typename P>(std::type_identity<P>) {
       constexpr std::size_t kW = hw::PlaneTraits<P>::kLanes;
       const std::size_t batches = (ids.size() + kW - 1) / kW;
       const DfgBatchEvaluatorT<P> ref_proto(im.graph, "error");
@@ -688,20 +712,9 @@ void CampaignSliceRunner::run_jobs(std::span<const std::uint64_t> ids,
           });
     });
   } else {
-    hw::dispatch_plane(im.lane_width, [&]<typename P>(std::type_identity<P>) {
+    hw::dispatch_plane(lanes, [&]<typename P>(std::type_identity<P>) {
       constexpr std::size_t kW = hw::PlaneTraits<P>::kLanes;
       const std::size_t batches = (ids.size() + kW - 1) / kW;
-      // Broadcast the precomputed scalar reference outputs to this width's
-      // planes (per call — one call per campaign single-host, one per
-      // shard on a service worker).
-      std::vector<hw::BatchWordT<P>> want_planes(im.want_values.size());
-      const std::size_t num_outputs = im.netlist.outputs.size();
-      for (std::size_t v = 0; v < im.want_values.size(); ++v) {
-        const Node& n =
-            im.graph.node(im.graph.outputs()[v % num_outputs]);
-        want_planes[v] = hw::broadcast_word<P>(im.want_values[v], n.width);
-      }
-
       struct IncrementalContext {
         NetlistIncrementalSimT<P> sim;
         IncrementalContext(const ExecPlan& p, const FaultCones& c)
@@ -713,7 +726,7 @@ void CampaignSliceRunner::run_jobs(std::span<const std::uint64_t> ids,
           batches, options.threads,
           [&im] { return IncrementalContext(im.plan, *im.cones); },
           [&](IncrementalContext& ctx, std::size_t b) {
-            run_incremental_batch<P>(ctx.sim, im.trace, want_planes,
+            run_incremental_batch<P>(ctx.sim, im.trace, im.want_values,
                                      im.golden_outcome, jobs, ids, b * kW,
                                      options, out);
           });
@@ -754,18 +767,24 @@ SampledNetlistCampaignResult run_sampled_netlist_campaign(
   const std::size_t cap = sampling.max_jobs == 0
                               ? universe
                               : std::min(universe, sampling.max_jobs);
-  std::vector<fault::CampaignStats> per_sampled(cap);
+  // Reserved, not value-initialised: the slots grow one block at a time,
+  // so an early stop never touches the pages of the jobs it skipped.
+  std::vector<fault::CampaignStats> per_sampled;
+  per_sampled.reserve(cap);
   SampledNetlistCampaignResult report;
   report.universe_jobs = universe;
 
-  // Blocks run sequentially (each block internally sharded over
-  // options.threads); the stop decision fires ONLY at block boundaries on
-  // the prefix evaluated so far, so every thread/lane/backend
-  // configuration stops after the same number of jobs.
+  // Blocks run sequentially. A block smaller than threads x lanes runs on
+  // narrower planes (run_jobs halves the width until every thread has a
+  // batch), so even one block fills options.threads. The stop decision
+  // fires ONLY at block boundaries on the prefix evaluated so far, so
+  // every thread/lane/backend configuration stops after the same number
+  // of jobs.
   std::uint64_t detected_faults = 0;
   const std::size_t evaluated = fault::run_blocks_until(
       cap, sampling.block,
       [&](std::size_t at, std::size_t count) {
+        per_sampled.resize(at + count);
         runner.run_jobs(
             std::span<const std::uint64_t>(perm.data() + at, count),
             std::span<fault::CampaignStats>(per_sampled.data() + at, count));

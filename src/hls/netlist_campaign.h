@@ -22,9 +22,11 @@
 //                 computed ONCE per campaign, and each batch replays only
 //                 the union fan-out cone of its ≤W faulted FUs, splicing
 //                 everything else from the golden trace.
-// The lane width W is resolved once per campaign (options.lanes, the
-// SCK_LANES env var, or the CPU default — see hw::resolve_lanes) and only
-// changes how faults are grouped into batches: per-fault stats land in
+// The maximum lane width W is resolved once per campaign (options.lanes,
+// the SCK_LANES env var, or the CPU default — see hw::resolve_lanes); a
+// call with fewer than threads x W jobs runs on narrower planes, halving
+// down to 64 lanes until every thread has a batch. The width only changes
+// how faults are grouped into batches: per-fault stats land in
 // job-indexed slots reduced in fault-index order, so the result is
 // bit-identical for ANY backend, lane width and thread count under the
 // same StreamMode (tests/test_netlist_batch.cpp,
@@ -75,8 +77,9 @@ struct NetlistCampaignResult {
 };
 
 /// Execution backend selection for the sweep (results are identical under
-/// the same StreamMode; the batched engine packs 64 faults per evaluation
-/// and is the default; the incremental engine requires kShared streams).
+/// the same StreamMode; the batched engine packs W faults per evaluation,
+/// one per plane lane, and is the default; the incremental engine requires
+/// kShared streams).
 enum class NetlistBackend : unsigned char { kScalar, kBatched, kIncremental };
 
 /// Input-stream semantics of the sweep.
@@ -226,8 +229,9 @@ class CampaignSliceRunner {
   [[nodiscard]] const NetlistCampaignOptions& options() const;
   /// enumerate_fault_jobs of the wrapped netlist, cached.
   [[nodiscard]] const std::vector<FaultJob>& jobs() const;
-  /// The bit-plane width this runner resolved (hw::resolve_lanes applied
-  /// to options.lanes once at construction).
+  /// The maximum bit-plane width this runner resolved (hw::resolve_lanes
+  /// applied to options.lanes once at construction). A call with fewer
+  /// than threads x lanes() jobs runs on narrower planes (see run_jobs).
   [[nodiscard]] int lanes() const;
 
   /// Evaluate jobs [base, base + count) into out[0..count). Shards the
@@ -239,7 +243,10 @@ class CampaignSliceRunner {
 
   /// Evaluate an arbitrary job-index list: out[i] receives the stats of
   /// global job ids[i]. run_slice is the contiguous special case; the
-  /// sampled-campaign engine feeds permuted prefixes through this.
+  /// sampled-campaign engine feeds permuted prefixes through this. The
+  /// plane backends start at lanes() and halve the width (down to 64)
+  /// while the call has fewer batches than threads, so a small call still
+  /// fills options.threads; out is identical at every width.
   void run_jobs(std::span<const std::uint64_t> ids,
                 std::span<fault::CampaignStats> out) const;
 
@@ -281,8 +288,8 @@ struct SampledCampaignOptions {
   /// ONLY at block boundaries over the prefix evaluated so far, which is a
   /// pure function of (options, sample_seed, block) — never of thread
   /// count, lane width or backend — so every configuration stops after the
-  /// same number of jobs (tests/test_sampled_campaign.cpp holds this at
-  /// threads 1/2/8).
+  /// same number of jobs (tests/test_netlist_duration.cpp holds this at
+  /// threads 1/2/4/8).
   std::size_t block = 256;
   /// Stop once the Wilson half-width on detection coverage is ≤ this.
   double target_half_width = 0.02;

@@ -417,6 +417,10 @@ template <typename P>
 /// was measured, and a typo'd SCK_LANES silently parsing to 0 (the old
 /// std::atoi behaviour) would misreport it as "CPU default, on purpose".
 /// Malformed values therefore abort with the offending text.
+///
+/// The netlist campaign engine treats the result as a maximum: a call with
+/// fewer than threads x lanes jobs runs on narrower planes so every thread
+/// gets a batch (hls::CampaignSliceRunner::run_jobs).
 [[nodiscard]] inline int resolve_lanes(int requested) {
   int lanes = requested;
   if (lanes <= 0) {

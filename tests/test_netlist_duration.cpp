@@ -1,6 +1,6 @@
 // Duration-model and sampled-campaign suite for the netlist engine.
 //
-// Three battlegrounds:
+// Four battlegrounds:
 //
 //  1. REGRESSION: the permanent-fault campaign must be byte-identical to
 //     the pre-duration engine. The pinned aggregates below were captured
@@ -16,12 +16,20 @@
 //     block boundary regardless of thread count, report a sane Wilson
 //     interval, and reduce to EXACTLY the exhaustive result when the
 //     whole universe is evaluated.
+//  4. NARROWING: a run_jobs call too small to give every thread a batch
+//     runs on narrower planes; per-job stats and the sampled results pinned
+//     before narrowing existed must not move.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "codesign/flow.h"
+#include "common/rng.h"
 #include "fault/duration.h"
 #include "fault/stats.h"
 #include "hls/builder.h"
@@ -339,6 +347,145 @@ TEST(SampledCampaign, SampleSeedSelectsTheSubset) {
       run_sampled_netlist_campaign(d.graph, d.netlist, opt, a);
   EXPECT_TRUE(same_campaign_result(ra.result, ra2.result));
   EXPECT_FALSE(same_campaign_result(ra.result, rb.result));
+}
+
+// ---- 4. per-call plane narrowing -------------------------------------------
+
+/// Fixture for the narrowing grid: more jobs than the largest id list, so
+/// permuted lists never repeat an id.
+struct NarrowingDesign {
+  Dfg graph;
+  Netlist netlist;
+
+  NarrowingDesign() {
+    graph = ced(build_fir(FirSpec{{3, -5, 7}, 8}), CedStyle::kClassBased);
+    netlist = synthesize(graph, ResourceConstraints::min_area(),
+                         "narrowing_fixture");
+  }
+};
+
+/// The plane backends with permanent stuck-ats, and with intermittent
+/// stuck-ats plus register SEUs. kBatched runs per-fault streams, so its
+/// per-lane stream seeding is narrowed too.
+[[nodiscard]] std::vector<NetlistCampaignOptions> narrowing_configs() {
+  std::vector<NetlistCampaignOptions> configs;
+  for (const NetlistBackend backend :
+       {NetlistBackend::kIncremental, NetlistBackend::kBatched}) {
+    for (const bool intermittent : {false, true}) {
+      NetlistCampaignOptions opt = incremental_options(/*samples=*/4, 0xF0);
+      opt.backend = backend;
+      if (backend == NetlistBackend::kBatched) {
+        opt.stream = StreamMode::kPerFault;
+      }
+      if (intermittent) {
+        opt.duration = fault::FaultDuration::kIntermittent;
+        opt.duty_permille = 300;
+        opt.seu_faults = true;
+      }
+      configs.push_back(opt);
+    }
+  }
+  return configs;
+}
+
+TEST(PlaneNarrowing, RunJobsMatchesOneThreadAtEverySizeWidthAndThreadCount) {
+  // A call with fewer jobs than threads x lanes runs on narrower planes;
+  // per-job stats must not move. threads = 1 never narrows, so it is the
+  // wide-plane reference at each explicit width.
+  const NarrowingDesign d;
+  for (NetlistCampaignOptions opt : narrowing_configs()) {
+    for (const int lanes : {64, 128, 256, 512}) {
+      opt.lanes = lanes;
+      opt.threads = 1;
+      const CampaignSliceRunner reference(d.graph, d.netlist, opt);
+      const std::size_t universe = reference.jobs().size();
+      ASSERT_GT(universe, 1000u + 7u);
+      std::vector<std::uint64_t> perm(universe);
+      std::iota(perm.begin(), perm.end(), std::uint64_t{0});
+      Xoshiro256 rng(0x5EED);
+      for (std::size_t i = universe; i > 1; --i) {
+        std::swap(perm[i - 1], perm[static_cast<std::size_t>(rng.bounded(i))]);
+      }
+      std::vector<std::unique_ptr<CampaignSliceRunner>> runners;
+      for (const int threads : {2, 3, 4, 8}) {
+        opt.threads = threads;
+        runners.push_back(
+            std::make_unique<CampaignSliceRunner>(d.graph, d.netlist, opt));
+      }
+
+      for (const std::size_t n :
+           {1u, 63u, 64u, 65u, 200u, 511u, 512u, 513u, 1000u}) {
+        for (const bool permuted : {true, false}) {
+          std::vector<std::uint64_t> ids(n);
+          if (permuted) {
+            std::copy_n(perm.begin(), n, ids.begin());
+          } else {
+            std::iota(ids.begin(), ids.end(), std::uint64_t{7});
+          }
+          std::vector<fault::CampaignStats> want(n);
+          reference.run_jobs(ids, want);
+          for (const auto& runner : runners) {
+            std::vector<fault::CampaignStats> got(n);
+            runner->run_jobs(ids, got);
+            EXPECT_EQ(got, want)
+                << "backend " << static_cast<int>(opt.backend) << " seu "
+                << opt.seu_faults << " lanes " << lanes << " threads "
+                << runner->options().threads << " jobs " << n
+                << (permuted ? " permuted" : " contiguous");
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PlaneNarrowing, SampledCampaignMatchesPinsAtEveryBlockAndThreadCount) {
+  // Captured before plane narrowing landed: intermittent stuck-ats plus
+  // SEUs at an explicit 512 lanes. At 4 threads every block below narrows
+  // (64 and 256 jobs to 64 lanes, 512 to 128, 1000 to 256); the sampled
+  // prefix and its reduction must not move.
+  struct Pin {
+    std::size_t block;
+    std::uint64_t sampled_jobs;
+    std::uint64_t silent_correct;
+    std::uint64_t detected_correct;
+    std::uint64_t detected_erroneous;
+    std::uint64_t masked;
+  };
+  const Pin pins[] = {
+      {64, 2368, 11117, 2222, 859, 10},
+      {256, 2560, 11990, 2421, 937, 12},
+      {512, 2560, 11990, 2421, 937, 12},
+      {1000, 3000, 14101, 2809, 1078, 12},
+  };
+  const NarrowingDesign d;
+  NetlistCampaignOptions opt = incremental_options(/*samples=*/6, 0xF1);
+  opt.lanes = 512;
+  opt.duration = fault::FaultDuration::kIntermittent;
+  opt.duty_permille = 500;
+  opt.seu_faults = true;
+  for (const Pin& pin : pins) {
+    SampledCampaignOptions sampling;
+    sampling.block = pin.block;
+    sampling.target_half_width = 0.02;
+    for (const NetlistBackend backend :
+         {NetlistBackend::kIncremental, NetlistBackend::kBatched}) {
+      for (const int threads : {1, 4}) {
+        opt.backend = backend;
+        opt.threads = threads;
+        const SampledNetlistCampaignResult r =
+            run_sampled_netlist_campaign(d.graph, d.netlist, opt, sampling);
+        const fault::CampaignStats& a = r.result.aggregate;
+        EXPECT_EQ(r.sampled_jobs, pin.sampled_jobs);
+        EXPECT_EQ(a.silent_correct, pin.silent_correct);
+        EXPECT_EQ(a.detected_correct, pin.detected_correct);
+        EXPECT_EQ(a.detected_erroneous, pin.detected_erroneous);
+        EXPECT_EQ(a.masked, pin.masked)
+            << "block " << pin.block << " backend "
+            << static_cast<int>(backend) << " threads " << threads;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -4,8 +4,11 @@
 // every fault's evaluation is a pure function of (fault, inputs).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -228,6 +231,115 @@ TEST(ParallelShardErrors, RemainingShardsAreCancelledAfterAThrow) {
                    }),
                std::runtime_error);
   EXPECT_LT(executed.load(), kJobs / 2);
+}
+
+TEST(ParallelShard, BuildsOneStatePerWorkerCappedByTheJobCount) {
+  for (const int threads : {0, 1, 2, 3, 4, 8}) {
+    for (const std::size_t jobs : {0, 1, 2, 3, 5, 100}) {
+      std::atomic<int> states{0};
+      std::atomic<std::size_t> evaluated{0};
+      parallel_shard(
+          jobs, threads, [&states] { return states.fetch_add(1); },
+          [&evaluated](int&, std::size_t) { evaluated.fetch_add(1); });
+      EXPECT_EQ(states.load(),
+                static_cast<int>(std::min<std::size_t>(
+                    static_cast<std::size_t>(resolve_threads(threads)), jobs)))
+          << "threads=" << threads << " jobs=" << jobs;
+      EXPECT_EQ(evaluated.load(), jobs);
+    }
+  }
+}
+
+/// Holds a pool worker's evaluation until the calling thread has started
+/// evaluating (or a generous deadline passes), so the caller's share never
+/// depends on how fast the pool drains the cursor.
+class CallerGate {
+ public:
+  CallerGate()
+      : caller_(std::this_thread::get_id()),
+        deadline_(std::chrono::steady_clock::now() + std::chrono::seconds(10)) {}
+
+  /// True on the calling thread (after opening the gate); on a pool thread,
+  /// waits for the gate and returns false.
+  bool on_caller() {
+    if (std::this_thread::get_id() == caller_) {
+      caller_evaluated_.store(true);
+      return true;
+    }
+    while (!caller_evaluated_.load() &&
+           std::chrono::steady_clock::now() < deadline_) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    return false;
+  }
+  [[nodiscard]] bool caller_evaluated() const {
+    return caller_evaluated_.load();
+  }
+  [[nodiscard]] std::thread::id caller() const { return caller_; }
+
+ private:
+  std::thread::id caller_;
+  std::chrono::steady_clock::time_point deadline_;
+  std::atomic<bool> caller_evaluated_{false};
+};
+
+TEST(ParallelShard, CallingThreadBuildsAStateAndEvaluatesAShare) {
+  for (const int threads : {2, 3, 4, 8}) {
+    CallerGate gate;
+    std::mutex mutex;
+    std::set<std::thread::id> builders;
+    parallel_shard(
+        64, threads,
+        [&] {
+          const std::lock_guard<std::mutex> lock(mutex);
+          builders.insert(std::this_thread::get_id());
+          return 0;
+        },
+        [&gate](int&, std::size_t) { (void)gate.on_caller(); });
+    EXPECT_EQ(builders.size(), static_cast<std::size_t>(threads));
+    EXPECT_EQ(builders.count(gate.caller()), 1u) << "threads=" << threads;
+    EXPECT_TRUE(gate.caller_evaluated()) << "threads=" << threads;
+  }
+}
+
+TEST(ParallelShardErrors, ThrowOnTheCallersShardRethrowsAfterEveryWorkerJoins) {
+  // Each worker state counts itself alive until destroyed: once the
+  // exception reaches the test, every pool worker must have left its loop
+  // and dropped its state, and no evaluation may still be running.
+  struct Tracked {
+    std::atomic<int>* alive;
+    explicit Tracked(std::atomic<int>* a) : alive(a) { alive->fetch_add(1); }
+    ~Tracked() { alive->fetch_sub(1); }
+    Tracked(const Tracked&) = delete;
+    Tracked& operator=(const Tracked&) = delete;
+  };
+  for (const int threads : {2, 4, 8}) {
+    CallerGate gate;
+    std::atomic<int> alive{0};
+    std::atomic<int> in_flight{0};
+    std::atomic<std::size_t> executed{0};
+    bool caught = false;
+    try {
+      parallel_shard(
+          1000, threads, [&alive] { return Tracked(&alive); },
+          [&](Tracked&, std::size_t) {
+            if (gate.on_caller()) {
+              throw std::runtime_error("caller's shard failed");
+            }
+            in_flight.fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+            executed.fetch_add(1);
+            in_flight.fetch_sub(1);
+          });
+    } catch (const std::runtime_error& e) {
+      caught = true;
+      EXPECT_EQ(std::string(e.what()), "caller's shard failed");
+      EXPECT_EQ(alive.load(), 0) << "threads=" << threads;
+      EXPECT_EQ(in_flight.load(), 0) << "threads=" << threads;
+    }
+    EXPECT_TRUE(caught) << "threads=" << threads;
+    EXPECT_LT(executed.load(), 500u) << "threads=" << threads;
+  }
 }
 
 TEST(ShardQueue, DrainsInIndexOrderAndCompletes) {
