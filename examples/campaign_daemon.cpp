@@ -26,14 +26,15 @@
 //       gate.
 //
 // Demo worker:  campaign_worker ADDR  (examples/campaign_worker.cpp)
+#include <charconv>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "codesign/flow.h"
 #include "common/table.h"
@@ -49,6 +50,28 @@ sck::service::CampaignDaemon* g_daemon = nullptr;
 
 void on_signal(int) {
   if (g_daemon != nullptr) g_daemon->stop();
+}
+
+constexpr const char* kServeUsage =
+    "usage: campaign_daemon serve [--listen=ADDR] [--store=DIR]"
+    " [--shard-jobs=N] [--heartbeat-timeout=SECONDS] [--probation=N]\n";
+constexpr const char* kCampaignUsage =
+    "usage: campaign_daemon submit ADDR [json] | local [json]"
+    " [--samples=N] [--duration=MODEL] [--transient-samples=N]"
+    " [--duty=PERMILLE] [--seu]\n";
+
+/// Parses the value of `--name=VALUE` if `arg` is that flag. The whole
+/// value must be a number of type T: "abc", "12x" and out-of-range values
+/// are errors, never a silent 0 or a truncated prefix.
+template <class T>
+[[nodiscard]] bool numeric_flag(std::string_view arg, std::string_view name,
+                                T& out, bool& bad) {
+  if (!arg.starts_with(name)) return false;
+  const std::string_view value = arg.substr(name.size());
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  bad = ec != std::errc{} || ptr != end;
+  return true;
 }
 
 struct DemoDesign {
@@ -179,18 +202,21 @@ int run_serve(int argc, char** argv) {
   sck::service::ServiceOptions opt;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
+    bool bad = false;
     if (arg.rfind("--listen=", 0) == 0) {
       opt.listen = arg.substr(9);
     } else if (arg.rfind("--store=", 0) == 0) {
       opt.store_dir = arg.substr(8);
-    } else if (arg.rfind("--shard-jobs=", 0) == 0) {
-      opt.shard_jobs = std::atoi(arg.c_str() + 13);
-    } else if (arg.rfind("--heartbeat-timeout=", 0) == 0) {
-      opt.heartbeat_timeout = std::atof(arg.c_str() + 20);
-    } else if (arg.rfind("--probation=", 0) == 0) {
-      opt.probation_strikes = std::atoi(arg.c_str() + 12);
-    } else {
-      std::cerr << "unknown serve option: " << arg << "\n";
+    } else if (!numeric_flag(arg, "--shard-jobs=", opt.shard_jobs, bad) &&
+               !numeric_flag(arg, "--heartbeat-timeout=",
+                             opt.heartbeat_timeout, bad) &&
+               !numeric_flag(arg, "--probation=", opt.probation_strikes,
+                             bad)) {
+      std::cerr << "unknown serve option: " << arg << "\n" << kServeUsage;
+      return 2;
+    }
+    if (bad) {
+      std::cerr << "invalid value: " << arg << "\n" << kServeUsage;
       return 2;
     }
   }
@@ -229,8 +255,14 @@ int run_campaign(int argc, char** argv, bool remote) {
   int positional = 0;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--samples=", 0) == 0) {
-      samples = std::atoi(arg.c_str() + 10);
+    bool bad = false;
+    if (numeric_flag(arg, "--samples=", samples, bad) ||
+        numeric_flag(arg, "--transient-samples=", transient_samples, bad) ||
+        numeric_flag(arg, "--duty=", duty_permille, bad)) {
+      if (bad) {
+        std::cerr << "invalid value: " << arg << "\n" << kCampaignUsage;
+        return 2;
+      }
     } else if (arg.rfind("--duration=", 0) == 0) {
       const std::string value = arg.substr(11);
       if (value == "permanent") {
@@ -241,13 +273,10 @@ int run_campaign(int argc, char** argv, bool remote) {
         duration = sck::fault::FaultDuration::kIntermittent;
       } else {
         std::cerr << "unknown --duration: " << value
-                  << " (permanent|transient|intermittent)\n";
+                  << " (permanent|transient|intermittent)\n"
+                  << kCampaignUsage;
         return 2;
       }
-    } else if (arg.rfind("--transient-samples=", 0) == 0) {
-      transient_samples = std::atoi(arg.c_str() + 20);
-    } else if (arg.rfind("--duty=", 0) == 0) {
-      duty_permille = static_cast<std::uint32_t>(std::atoi(arg.c_str() + 7));
     } else if (arg == "--seu") {
       seu = true;
     } else if (positional == 0 && remote) {
@@ -259,18 +288,23 @@ int run_campaign(int argc, char** argv, bool remote) {
     }
   }
   if (remote && address.empty()) {
-    std::cerr << "usage: campaign_daemon submit ADDR [json] [--samples=N]"
-                 " [--duration=MODEL] [--transient-samples=N] [--duty=PERMILLE]"
-                 " [--seu]\n";
+    std::cerr << kCampaignUsage;
     return 2;
   }
 
-  const DemoDesign design = demo_design();
   sck::hls::NetlistCampaignOptions opt = demo_options(samples);
   opt.duration = duration;
   opt.transient_samples = transient_samples;
   opt.duty_permille = duty_permille;
   opt.seu_faults = seu;
+  // The engine's own rule set: a bad option is a usage error here, not an
+  // abort inside the campaign.
+  if (const std::string why = sck::hls::validate(opt); !why.empty()) {
+    std::cerr << "invalid campaign options: " << why << "\n"
+              << kCampaignUsage;
+    return 2;
+  }
+  const DemoDesign design = demo_design();
 
   // The single-host reference runs either way: `local` reports it, and
   // `submit` diffs the distributed result against it before writing
@@ -312,10 +346,6 @@ int main(int argc, char** argv) {
   if (mode == "serve") return run_serve(argc, argv);
   if (mode == "submit") return run_campaign(argc, argv, /*remote=*/true);
   if (mode == "local") return run_campaign(argc, argv, /*remote=*/false);
-  std::cerr << "usage: campaign_daemon serve|submit|local ...\n"
-               "  serve  [--listen=ADDR] [--store=DIR] [--shard-jobs=N]\n"
-               "         [--heartbeat-timeout=S] [--probation=N]\n"
-               "  submit ADDR [json_path] [--samples=N]\n"
-               "  local  [json_path] [--samples=N]\n";
+  std::cerr << kServeUsage << kCampaignUsage;
   return 2;
 }

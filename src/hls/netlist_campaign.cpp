@@ -516,6 +516,35 @@ NetlistCampaignResult reduce_campaign_slices(
   return result;
 }
 
+std::string validate(const NetlistCampaignOptions& o) {
+  if (o.samples_per_fault < 1 || o.samples_per_fault > (1 << 24)) {
+    return "samples_per_fault must be in 1..2^24";
+  }
+  if (o.fault_stride < 1) return "fault_stride must be at least 1";
+  if (o.threads < 0 || o.threads > (1 << 16)) {
+    return "threads must be in 0..2^16 (0 = all hardware threads)";
+  }
+  if (o.lanes != 0 && !hw::lanes_supported(o.lanes)) {
+    return "lanes must be 0 (auto), 64, 128, 256 or 512";
+  }
+  if (o.backend > NetlistBackend::kIncremental) return "unknown backend";
+  if (o.stream > StreamMode::kShared) return "unknown stream mode";
+  if (o.duration > fault::FaultDuration::kIntermittent) {
+    return "unknown fault duration";
+  }
+  if (o.backend == NetlistBackend::kIncremental &&
+      o.stream != StreamMode::kShared) {
+    return "the incremental backend replays one shared golden trace "
+           "(stream must be shared)";
+  }
+  if (o.fault_dropping && o.backend != NetlistBackend::kIncremental) {
+    return "fault dropping is an incremental-backend feature";
+  }
+  if (o.transient_samples < 1) return "transient_samples must be at least 1";
+  if (o.duty_permille > 1000) return "duty_permille must be at most 1000";
+  return {};
+}
+
 /// All campaign-wide shared state, computed once at runner construction.
 struct CampaignSliceRunner::Impl {
   Dfg graph;
@@ -540,17 +569,11 @@ CampaignSliceRunner::CampaignSliceRunner(const Dfg& graph,
                                          const Netlist& netlist,
                                          const NetlistCampaignOptions& options)
     : impl_([&] {
-        SCK_EXPECTS(options.samples_per_fault > 0);
-        SCK_EXPECTS(options.fault_stride > 0);
-        SCK_EXPECTS(options.transient_samples > 0);
-        SCK_EXPECTS(options.duty_permille <= 1000);
+        if (const std::string why = validate(options); !why.empty()) {
+          detail::contract_violation("Precondition", why.c_str(), __FILE__,
+                                     __LINE__);
+        }
         SCK_EXPECTS(netlist.input_names.size() == graph.inputs().size());
-        SCK_EXPECTS((options.backend != NetlistBackend::kIncremental ||
-                     options.stream == StreamMode::kShared) &&
-                    "the incremental backend replays one shared golden trace");
-        SCK_EXPECTS((!options.fault_dropping ||
-                     options.backend == NetlistBackend::kIncremental) &&
-                    "fault dropping is an incremental-backend feature");
 
         auto impl = std::make_unique<Impl>();
         impl->graph = graph;

@@ -144,6 +144,12 @@ struct NetlistCampaignOptions {
   bool seu_faults = false;
 };
 
+/// Why `options` cannot run, or "" when they can. The one rule set that
+/// CampaignSliceRunner asserts, the wire decoder rejects on and the CLIs
+/// report: ranges, enum values and the cross-field contracts (incremental
+/// needs kShared, fault dropping needs incremental).
+[[nodiscard]] std::string validate(const NetlistCampaignOptions& options);
+
 /// Stuck-at activity of global fault `fault_index` at sample `sample`
 /// under the campaign's duration model: the single pure derivation every
 /// backend (and the differential oracle) evaluates. SEU jobs do not

@@ -1,551 +1,29 @@
 #include "service/wire.h"
 
-#include <bit>
-#include <cstring>
-
 #include "common/assert.h"
+#include "common/codec.h"
 #include "common/word.h"
-#include "hls/schedule.h"
 
 namespace sck::service {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Little-endian primitives, same discipline as src/store/store.cpp.
-
-void put_u64(std::vector<unsigned char>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<unsigned char>(v >> (8 * i)));
-  }
-}
-
-void put_u32(std::vector<unsigned char>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<unsigned char>(v >> (8 * i)));
-  }
-}
-
-void put_i32(std::vector<unsigned char>& out, std::int32_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-}
-
-void put_u8(std::vector<unsigned char>& out, std::uint8_t v) {
-  out.push_back(v);
-}
-
-void put_bool(std::vector<unsigned char>& out, bool v) {
-  put_u8(out, v ? 1 : 0);
-}
-
-void put_i64(std::vector<unsigned char>& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-void put_f64(std::vector<unsigned char>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_str(std::vector<unsigned char>& out, const std::string& s) {
-  put_u64(out, s.size());
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-void put_stats(std::vector<unsigned char>& out,
-               const fault::CampaignStats& s) {
-  put_u64(out, s.silent_correct);
-  put_u64(out, s.detected_correct);
-  put_u64(out, s.detected_erroneous);
-  put_u64(out, s.masked);
-}
-
-[[nodiscard]] std::uint64_t fnv1a(const unsigned char* data,
-                                  std::size_t size) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    h = (h ^ data[i]) * 0x100000001B3ULL;
-  }
-  return h;
-}
-
-/// Bounds-checked little-endian reader over a payload span. Every accessor
-/// reports failure by returning false and latching ok() — malformed bytes
-/// can only produce a clean parse failure, never UB or an abort.
-class Reader {
- public:
-  explicit Reader(std::span<const unsigned char> bytes) : bytes_(bytes) {}
-
-  [[nodiscard]] bool u64(std::uint64_t& v) {
-    if (!ok_ || bytes_.size() - at_ < 8) return fail();
-    v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(bytes_[at_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    at_ += 8;
-    return true;
-  }
-
-  [[nodiscard]] bool u32(std::uint32_t& v) {
-    if (!ok_ || bytes_.size() - at_ < 4) return fail();
-    v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(bytes_[at_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    at_ += 4;
-    return true;
-  }
-
-  [[nodiscard]] bool i32(std::int32_t& v) {
-    std::uint32_t u = 0;
-    if (!u32(u)) return false;
-    v = static_cast<std::int32_t>(u);
-    return true;
-  }
-
-  [[nodiscard]] bool i64(std::int64_t& v) {
-    std::uint64_t u = 0;
-    if (!u64(u)) return false;
-    v = static_cast<std::int64_t>(u);
-    return true;
-  }
-
-  [[nodiscard]] bool f64(double& v) {
-    std::uint64_t u = 0;
-    if (!u64(u)) return false;
-    v = std::bit_cast<double>(u);
-    return true;
-  }
-
-  [[nodiscard]] bool u8(std::uint8_t& v) {
-    if (!ok_ || bytes_.size() - at_ < 1) return fail();
-    v = bytes_[at_++];
-    return true;
-  }
-
-  /// Strict boolean: exactly 0 or 1 (any other byte is garbage, reject).
-  [[nodiscard]] bool boolean(bool& v) {
-    std::uint8_t b = 0;
-    if (!u8(b)) return false;
-    if (b > 1) return fail();
-    v = b != 0;
-    return true;
-  }
-
-  [[nodiscard]] bool str(std::string& s) {
-    std::uint64_t len = 0;
-    if (!u64(len)) return false;
-    if (len > remaining()) return fail();
-    s.assign(reinterpret_cast<const char*>(bytes_.data() + at_),
-             static_cast<std::size_t>(len));
-    at_ += static_cast<std::size_t>(len);
-    return true;
-  }
-
-  [[nodiscard]] bool stats(fault::CampaignStats& s) {
-    return u64(s.silent_correct) && u64(s.detected_correct) &&
-           u64(s.detected_erroneous) && u64(s.masked);
-  }
-
-  /// Element count whose elements occupy at least `min_bytes` each: a
-  /// count the remaining bytes cannot possibly hold is rejected BEFORE any
-  /// allocation sized by it.
-  [[nodiscard]] bool count(std::uint64_t& n, std::size_t min_bytes) {
-    if (!u64(n)) return false;
-    if (min_bytes == 0) min_bytes = 1;
-    if (n > remaining() / min_bytes) return fail();
-    return true;
-  }
-
-  [[nodiscard]] std::size_t remaining() const { return bytes_.size() - at_; }
-  [[nodiscard]] bool ok() const { return ok_; }
-  [[nodiscard]] bool done() const { return ok_ && at_ == bytes_.size(); }
-  bool fail() {
-    ok_ = false;
-    return false;
-  }
-
- private:
-  std::span<const unsigned char> bytes_;
-  std::size_t at_ = 0;
-  bool ok_ = true;
-};
-
-// ---------------------------------------------------------------------------
-// Dfg codec. Nodes are append-only with stable ids and (outside kReg
-// next-value edges) strictly backward operand references, so serializing
-// the node array in id order captures the whole graph — the input/output/
-// state-reg port lists are reproduced by replaying the builders in the
-// same order.
-
-void put_dfg(std::vector<unsigned char>& out, const hls::Dfg& g) {
-  put_u64(out, g.size());
-  for (std::size_t id = 0; id < g.size(); ++id) {
-    const hls::Node& n = g.node(static_cast<hls::NodeId>(id));
-    put_u32(out, static_cast<std::uint32_t>(n.op));
-    put_u32(out, static_cast<std::uint32_t>(n.width));
-    put_u64(out, n.ins.size());
-    for (const hls::NodeId in : n.ins) put_i32(out, in);
-    put_i64(out, n.value);
-    put_str(out, n.name);
-    put_bool(out, n.is_check);
-    put_i32(out, n.check_group);
-    put_i32(out, n.release_delay);
-  }
-}
-
-/// Strict inverse of put_dfg: every op code, width, arity and operand
-/// reference is validated BEFORE the corresponding builder runs, so the
-/// builders' SCK_EXPECTS aborts are unreachable from wire bytes — a
-/// malformed graph is a clean nullopt. Reconstruction invariant: builder
-/// ids are sequential appends, so node k of the wire becomes NodeId k.
-[[nodiscard]] bool get_dfg(Reader& r, hls::Dfg& g) {
-  std::uint64_t count = 0;
-  // Minimum encoded node: op + width + ins count + value + name length +
-  // is_check + check_group + release_delay.
-  if (!r.count(count, 4 + 4 + 8 + 8 + 8 + 1 + 4 + 4)) return false;
-  struct RegFix {
-    hls::NodeId reg;
-    hls::NodeId next;
-  };
-  std::vector<RegFix> reg_fixes;
-  for (std::uint64_t id = 0; id < count; ++id) {
-    std::uint32_t op_raw = 0;
-    std::uint32_t width = 0;
-    std::uint64_t arity = 0;
-    if (!r.u32(op_raw) || !r.u32(width) || !r.count(arity, 4)) return false;
-    if (op_raw > static_cast<std::uint32_t>(hls::Op::kOr)) return r.fail();
-    const auto op = static_cast<hls::Op>(op_raw);
-    if (arity != static_cast<std::uint64_t>(hls::op_arity(op))) {
-      return r.fail();
-    }
-    if (width < 1 || width > static_cast<std::uint32_t>(kMaxWidth)) {
-      return r.fail();
-    }
-    std::vector<hls::NodeId> ins(static_cast<std::size_t>(arity));
-    for (hls::NodeId& in : ins) {
-      if (!r.i32(in)) return false;
-      if (op == hls::Op::kReg) {
-        // A register's next-value edge is sequential: forward references
-        // (and kNoNode for a not-yet-wired register) are legal.
-        if (in != hls::kNoNode &&
-            (in < 0 || static_cast<std::uint64_t>(in) >= count)) {
-          return r.fail();
-        }
-      } else {
-        // Combinational operands strictly precede their consumer — true
-        // of every graph the builders can produce, and what makes the
-        // graph acyclic by construction on replay.
-        if (in < 0 || static_cast<std::uint64_t>(in) >= id) return r.fail();
-      }
-    }
-    std::int64_t value = 0;
-    std::string name;
-    bool is_check = false;
-    std::int32_t check_group = 0;
-    std::int32_t release_delay = 0;
-    if (!r.i64(value) || !r.str(name) || !r.boolean(is_check) ||
-        !r.i32(check_group) || !r.i32(release_delay)) {
-      return false;
-    }
-    if (check_group < hls::kSharedGroup || release_delay < 0) return r.fail();
-
-    hls::NodeId built = hls::kNoNode;
-    switch (op) {
-      case hls::Op::kInput:
-        built = g.input(name, static_cast<int>(width));
-        break;
-      case hls::Op::kConst:
-        built = g.constant(static_cast<long long>(value),
-                           static_cast<int>(width));
-        break;
-      case hls::Op::kReg:
-        built = g.state_reg(name, static_cast<int>(width));
-        if (ins[0] != hls::kNoNode) {
-          reg_fixes.push_back(RegFix{built, ins[0]});
-        }
-        break;
-      case hls::Op::kOutput:
-        // output() derives its width from the source node; a disagreeing
-        // encoded width means the bytes do not describe a buildable graph.
-        if (g.node(ins[0]).width != static_cast<int>(width)) return r.fail();
-        built = g.output(name, ins[0]);
-        break;
-      default:
-        built = g.op(op, ins, static_cast<int>(width));
-        break;
-    }
-    if (static_cast<std::uint64_t>(built) != id) return r.fail();
-    hls::Node& n = g.mutable_node(built);
-    n.value = static_cast<long long>(value);
-    n.name = name;
-    n.is_check = is_check;
-    n.check_group = check_group;
-    n.release_delay = release_delay;
-  }
-  for (const RegFix& fix : reg_fixes) {
-    // Validated above: fix.next in [0, count), all nodes now exist.
-    g.set_reg_next(fix.reg, fix.next);
-  }
-  return r.ok();
-}
-
-// ---------------------------------------------------------------------------
-// Netlist codec.
-
-void put_operand(std::vector<unsigned char>& out, const hls::Operand& o) {
-  put_u32(out, static_cast<std::uint32_t>(o.kind));
-  put_i32(out, o.index);
-  put_i64(out, o.value);
-}
-
-[[nodiscard]] bool get_operand(Reader& r, const hls::Netlist& n,
-                               hls::Operand& o) {
-  std::uint32_t kind_raw = 0;
-  std::int32_t index = 0;
-  std::int64_t value = 0;
-  if (!r.u32(kind_raw) || !r.i32(index) || !r.i64(value)) return false;
-  if (kind_raw > static_cast<std::uint32_t>(hls::Operand::Kind::kWire)) {
-    return r.fail();
-  }
-  o.kind = static_cast<hls::Operand::Kind>(kind_raw);
-  o.index = index;
-  o.value = static_cast<long long>(value);
-  switch (o.kind) {
-    case hls::Operand::Kind::kReg:
-      if (index < 0 || static_cast<std::size_t>(index) >= n.regs.size()) {
-        return r.fail();
-      }
-      break;
-    case hls::Operand::Kind::kInput:
-      if (index < 0 ||
-          static_cast<std::size_t>(index) >= n.input_names.size()) {
-        return r.fail();
-      }
-      break;
-    case hls::Operand::Kind::kWire:
-      if (index < 0) return r.fail();  // producer NodeId
-      break;
-    case hls::Operand::Kind::kNone:
-    case hls::Operand::Kind::kConst:
-      break;
-  }
-  return true;
-}
-
-void put_netlist(std::vector<unsigned char>& out, const hls::Netlist& n) {
-  put_str(out, n.name);
-  put_u32(out, static_cast<std::uint32_t>(n.data_width));
-  put_u32(out, static_cast<std::uint32_t>(n.num_steps));
-  put_u64(out, n.fus.size());
-  for (const hls::FuInstance& fu : n.fus) {
-    put_u32(out, static_cast<std::uint32_t>(fu.cls));
-    put_u32(out, static_cast<std::uint32_t>(fu.width));
-    put_i32(out, fu.group);
-    put_str(out, fu.name);
-  }
-  put_u64(out, n.regs.size());
-  for (const hls::RegisterInfo& reg : n.regs) {
-    put_u32(out, static_cast<std::uint32_t>(reg.width));
-    put_bool(out, reg.architectural);
-    put_str(out, reg.name);
-  }
-  put_u64(out, n.input_names.size());
-  for (const std::string& name : n.input_names) put_str(out, name);
-  put_u64(out, n.outputs.size());
-  for (const hls::OutputPort& port : n.outputs) {
-    put_str(out, port.name);
-    put_operand(out, port.source);
-  }
-  put_u64(out, n.state_loads.size());
-  for (const hls::StateLoad& load : n.state_loads) {
-    put_i32(out, load.dst_reg);
-    put_operand(out, load.source);
-  }
-  put_u64(out, n.micro.size());
-  for (const hls::MicroOp& m : n.micro) {
-    put_i32(out, m.step);
-    put_i32(out, m.node);
-    put_u32(out, static_cast<std::uint32_t>(m.op));
-    put_i32(out, m.fu);
-    put_operand(out, m.src[0]);
-    put_operand(out, m.src[1]);
-    put_i32(out, m.dst_reg);
-  }
-}
-
-[[nodiscard]] bool get_netlist(Reader& r, hls::Netlist& n) {
-  std::uint32_t data_width = 0;
-  std::uint32_t num_steps = 0;
-  if (!r.str(n.name) || !r.u32(data_width) || !r.u32(num_steps)) return false;
-  if (data_width < 1 || data_width > static_cast<std::uint32_t>(kMaxWidth)) {
-    return r.fail();
-  }
-  if (num_steps > (1u << 20)) return r.fail();
-  n.data_width = static_cast<int>(data_width);
-  n.num_steps = static_cast<int>(num_steps);
-
-  std::uint64_t count = 0;
-  if (!r.count(count, 4 + 4 + 4 + 8)) return false;
-  n.fus.resize(static_cast<std::size_t>(count));
-  for (hls::FuInstance& fu : n.fus) {
-    std::uint32_t cls = 0;
-    std::uint32_t width = 0;
-    if (!r.u32(cls) || !r.u32(width) || !r.i32(fu.group) || !r.str(fu.name)) {
-      return false;
-    }
-    if (cls >= static_cast<std::uint32_t>(hls::kResourceClassCount)) {
-      return r.fail();
-    }
-    if (width > static_cast<std::uint32_t>(kMaxWidth)) return r.fail();
-    if (fu.group < hls::kSharedGroup) return r.fail();
-    fu.cls = static_cast<hls::ResourceClass>(cls);
-    fu.width = static_cast<int>(width);
-  }
-
-  if (!r.count(count, 4 + 1 + 8)) return false;
-  n.regs.resize(static_cast<std::size_t>(count));
-  for (hls::RegisterInfo& reg : n.regs) {
-    std::uint32_t width = 0;
-    if (!r.u32(width) || !r.boolean(reg.architectural) || !r.str(reg.name)) {
-      return false;
-    }
-    if (width > static_cast<std::uint32_t>(kMaxWidth)) return r.fail();
-    reg.width = static_cast<int>(width);
-  }
-
-  if (!r.count(count, 8)) return false;
-  n.input_names.resize(static_cast<std::size_t>(count));
-  for (std::string& name : n.input_names) {
-    if (!r.str(name)) return false;
-  }
-
-  if (!r.count(count, 8 + 16)) return false;
-  n.outputs.resize(static_cast<std::size_t>(count));
-  for (hls::OutputPort& port : n.outputs) {
-    if (!r.str(port.name) || !get_operand(r, n, port.source)) return false;
-  }
-
-  if (!r.count(count, 4 + 16)) return false;
-  n.state_loads.resize(static_cast<std::size_t>(count));
-  for (hls::StateLoad& load : n.state_loads) {
-    if (!r.i32(load.dst_reg) || !get_operand(r, n, load.source)) return false;
-    if (load.dst_reg < 0 ||
-        static_cast<std::size_t>(load.dst_reg) >= n.regs.size()) {
-      return r.fail();
-    }
-  }
-
-  if (!r.count(count, 4 + 4 + 4 + 4 + 32 + 4)) return false;
-  n.micro.resize(static_cast<std::size_t>(count));
-  for (hls::MicroOp& m : n.micro) {
-    std::uint32_t op_raw = 0;
-    if (!r.i32(m.step) || !r.i32(m.node) || !r.u32(op_raw) || !r.i32(m.fu) ||
-        !get_operand(r, n, m.src[0]) || !get_operand(r, n, m.src[1]) ||
-        !r.i32(m.dst_reg)) {
-      return false;
-    }
-    if (m.step < 0 || m.step >= n.num_steps) return r.fail();
-    if (m.node < 0) return r.fail();
-    if (op_raw > static_cast<std::uint32_t>(hls::Op::kOr)) return r.fail();
-    m.op = static_cast<hls::Op>(op_raw);
-    if (m.fu < -1 ||
-        (m.fu >= 0 && static_cast<std::size_t>(m.fu) >= n.fus.size())) {
-      return r.fail();
-    }
-    if (m.dst_reg < -1 ||
-        (m.dst_reg >= 0 &&
-         static_cast<std::size_t>(m.dst_reg) >= n.regs.size())) {
-      return r.fail();
-    }
-  }
-  return r.ok();
-}
-
-// ---------------------------------------------------------------------------
-// Campaign options codec.
-
-void put_options(std::vector<unsigned char>& out,
-                 const hls::NetlistCampaignOptions& o) {
-  put_i32(out, o.samples_per_fault);
-  put_u64(out, o.seed);
-  put_i32(out, o.fault_stride);
-  put_i32(out, o.threads);
-  put_i32(out, o.lanes);
-  put_u32(out, static_cast<std::uint32_t>(o.backend));
-  put_u32(out, static_cast<std::uint32_t>(o.stream));
-  put_bool(out, o.fault_dropping);
-  put_u32(out, static_cast<std::uint32_t>(o.duration));
-  put_i32(out, o.transient_samples);
-  put_u32(out, o.duty_permille);
-  put_bool(out, o.seu_faults);
-}
-
-[[nodiscard]] bool get_options(Reader& r, hls::NetlistCampaignOptions& o) {
-  std::uint32_t backend = 0;
-  std::uint32_t stream = 0;
-  if (!r.i32(o.samples_per_fault) || !r.u64(o.seed) || !r.i32(o.fault_stride) ||
-      !r.i32(o.threads) || !r.i32(o.lanes) || !r.u32(backend) ||
-      !r.u32(stream) || !r.boolean(o.fault_dropping)) {
-    return false;
-  }
-  if (o.samples_per_fault < 1 || o.samples_per_fault > (1 << 24)) {
-    return r.fail();
-  }
-  if (o.fault_stride < 1 || o.threads < 0 || o.threads > (1 << 16)) {
-    return r.fail();
-  }
-  if (o.lanes != 0 && o.lanes != 64 && o.lanes != 128 && o.lanes != 256 &&
-      o.lanes != 512) {
-    return r.fail();
-  }
-  if (backend >
-      static_cast<std::uint32_t>(hls::NetlistBackend::kIncremental)) {
-    return r.fail();
-  }
-  if (stream > static_cast<std::uint32_t>(hls::StreamMode::kShared)) {
-    return r.fail();
-  }
-  o.backend = static_cast<hls::NetlistBackend>(backend);
-  o.stream = static_cast<hls::StreamMode>(stream);
-  // Cross-field contracts the campaign engine asserts (SCK_EXPECTS): a
-  // wire payload violating them must be a clean parse failure, not an
-  // abort inside CampaignSliceRunner.
-  if (o.backend == hls::NetlistBackend::kIncremental &&
-      o.stream != hls::StreamMode::kShared) {
-    return r.fail();
-  }
-  if (o.fault_dropping && o.backend != hls::NetlistBackend::kIncremental) {
-    return r.fail();
-  }
-  std::uint32_t duration = 0;
-  if (!r.u32(duration) || !r.i32(o.transient_samples) ||
-      !r.u32(o.duty_permille) || !r.boolean(o.seu_faults)) {
-    return false;
-  }
-  if (duration >
-      static_cast<std::uint32_t>(fault::FaultDuration::kIntermittent)) {
-    return r.fail();
-  }
-  o.duration = static_cast<fault::FaultDuration>(duration);
-  if (o.transient_samples < 1 || o.duty_permille > 1000) return r.fail();
-  return true;
-}
+using codec::Reader;
+using codec::Writer;
 
 // ---------------------------------------------------------------------------
 // Campaign payload (graph + netlist + options) with the cross-structure
 // invariants the campaign engine would otherwise abort on.
 
-void put_campaign(std::vector<unsigned char>& out, const CampaignPayload& c) {
-  put_dfg(out, c.graph);
-  put_netlist(out, c.netlist);
-  put_options(out, c.options);
+void put_campaign(Writer& w, const CampaignPayload& c) {
+  codec::put_dfg(w, c.graph);
+  codec::put_netlist(w, c.netlist);
+  codec::put_options(w, c.options);
 }
 
 [[nodiscard]] bool get_campaign(Reader& r, CampaignPayload& c) {
-  if (!get_dfg(r, c.graph) || !get_netlist(r, c.netlist) ||
-      !get_options(r, c.options)) {
+  if (!codec::get_dfg(r, c.graph) || !codec::get_netlist(r, c.netlist) ||
+      !codec::get_options(r, c.options)) {
     return false;
   }
   // CampaignSliceRunner's preconditions: netlist ports mirror the graph's.
@@ -559,40 +37,39 @@ void put_campaign(std::vector<unsigned char>& out, const CampaignPayload& c) {
   return true;
 }
 
-void put_shard_stats(std::vector<unsigned char>& out, const ShardStats& s) {
-  put_u64(out, s.shards_total);
-  put_u64(out, s.shards_executed);
-  put_u64(out, s.shards_requeued);
-  put_u64(out, s.shards_journaled);
-  put_u64(out, s.shards_resumed);
-  put_u64(out, s.workers);
-  put_u64(out, s.workers_lost);
-  put_u64(out, s.workers_quarantined);
-  put_bool(out, s.served_from_cache);
-  put_f64(out, s.seconds);
-  put_f64(out, s.samples_per_sec);
-  put_u64(out, s.per_worker.size());
-  for (const WorkerShardStats& w : s.per_worker) {
-    put_str(out, w.worker);
-    put_i32(out, w.lanes);
-    put_u64(out, w.shards);
-    put_u64(out, w.samples);
-    put_f64(out, w.seconds);
-    put_bool(out, w.lost);
+void put_shard_stats(Writer& w, const ShardStats& s) {
+  w.u64(s.shards_total);
+  w.u64(s.shards_executed);
+  w.u64(s.shards_requeued);
+  w.u64(s.shards_journaled);
+  w.u64(s.shards_resumed);
+  w.u64(s.workers);
+  w.u64(s.workers_lost);
+  w.u64(s.workers_quarantined);
+  w.boolean(s.served_from_cache);
+  w.f64(s.seconds);
+  w.f64(s.samples_per_sec);
+  w.u64(s.per_worker.size());
+  for (const WorkerShardStats& ws : s.per_worker) {
+    w.str(ws.worker);
+    w.i32(ws.lanes);
+    w.u64(ws.shards);
+    w.u64(ws.samples);
+    w.f64(ws.seconds);
+    w.boolean(ws.lost);
   }
 }
 
 [[nodiscard]] bool get_shard_stats(Reader& r, ShardStats& s) {
+  std::uint64_t count = 0;
   if (!r.u64(s.shards_total) || !r.u64(s.shards_executed) ||
       !r.u64(s.shards_requeued) || !r.u64(s.shards_journaled) ||
       !r.u64(s.shards_resumed) || !r.u64(s.workers) ||
       !r.u64(s.workers_lost) || !r.u64(s.workers_quarantined) ||
       !r.boolean(s.served_from_cache) || !r.f64(s.seconds) ||
-      !r.f64(s.samples_per_sec)) {
+      !r.f64(s.samples_per_sec) || !r.count(count, 8 + 4 + 8 + 8 + 8 + 1)) {
     return false;
   }
-  std::uint64_t count = 0;
-  if (!r.count(count, 8 + 4 + 8 + 8 + 8 + 1)) return false;
   s.per_worker.resize(static_cast<std::size_t>(count));
   for (WorkerShardStats& w : s.per_worker) {
     if (!r.str(w.worker) || !r.i32(w.lanes) || !r.u64(w.shards) ||
@@ -603,32 +80,45 @@ void put_shard_stats(std::vector<unsigned char>& out, const ShardStats& s) {
   return true;
 }
 
-void put_result(std::vector<unsigned char>& out,
-                const hls::NetlistCampaignResult& v) {
-  put_u64(out, v.fault_universe_size);
-  put_stats(out, v.aggregate);
-  put_u64(out, v.per_unit.size());
-  for (const hls::UnitCoverage& unit : v.per_unit) {
-    put_i32(out, unit.fu_index);
-    put_str(out, unit.fu_name);
-    put_u64(out, unit.faults);
-    put_stats(out, unit.stats);
+/// The fixed frame header, validated from its own bytes: what both the
+/// whole-buffer decoder and the streaming FrameBuffer check before they
+/// look at a payload. Empty on success, else why the header is bad.
+[[nodiscard]] std::string check_header(std::span<const unsigned char> header,
+                                       MsgType& type, std::uint64_t& length) {
+  Reader r(header);
+  std::uint64_t magic = 0;
+  std::uint32_t version = 0;
+  std::uint32_t type_raw = 0;
+  if (!r.u64(magic) || !r.u32(version) || !r.u32(type_raw) || !r.u64(length)) {
+    return "wire: truncated frame header";
   }
+  if (magic != kWireMagic) {
+    return "wire: bad frame magic (desynchronized stream?)";
+  }
+  if (version != kWireProtocolVersion) {
+    return "wire: protocol version mismatch (got " + std::to_string(version) +
+           ", want " + std::to_string(kWireProtocolVersion) + ")";
+  }
+  if (type_raw < 1 || type_raw > kMaxMsgType) {
+    return "wire: unknown message type " + std::to_string(type_raw);
+  }
+  if (length > kMaxFramePayload) {
+    return "wire: oversized payload length prefix (" + std::to_string(length) +
+           " bytes)";
+  }
+  type = static_cast<MsgType>(type_raw);
+  return {};
 }
 
-[[nodiscard]] bool get_result(Reader& r, hls::NetlistCampaignResult& v) {
-  if (!r.u64(v.fault_universe_size) || !r.stats(v.aggregate)) return false;
-  std::uint64_t count = 0;
-  if (!r.count(count, 4 + 8 + 8 + 32)) return false;
-  v.per_unit.resize(static_cast<std::size_t>(count));
-  for (hls::UnitCoverage& unit : v.per_unit) {
-    if (!r.i32(unit.fu_index) || !r.str(unit.fu_name) || !r.u64(unit.faults) ||
-        !r.stats(unit.stats)) {
-      return false;
-    }
-    if (unit.fu_index < 0) return r.fail();
-  }
-  return true;
+/// Runs `get` over the whole payload; nullopt unless it succeeds AND
+/// consumes every byte (trailing garbage is rejected, not ignored).
+template <class T, class Get>
+[[nodiscard]] std::optional<T> decode_all(
+    std::span<const unsigned char> payload, Get get) {
+  Reader r(payload);
+  T value{};
+  if (!get(r, value) || !r.done()) return std::nullopt;
+  return value;
 }
 
 }  // namespace
@@ -639,50 +129,33 @@ void put_result(std::vector<unsigned char>& out,
 std::vector<unsigned char> encode_frame(MsgType type,
                                         std::span<const unsigned char> payload) {
   SCK_EXPECTS(payload.size() <= kMaxFramePayload);
-  std::vector<unsigned char> out;
-  out.reserve(kFrameHeaderBytes + payload.size() + kFrameChecksumBytes);
-  put_u64(out, kWireMagic);
-  put_u32(out, kWireProtocolVersion);
-  put_u32(out, static_cast<std::uint32_t>(type));
-  put_u64(out, payload.size());
-  out.insert(out.end(), payload.begin(), payload.end());
-  put_u64(out, fnv1a(out.data(), out.size()));
-  return out;
+  Writer w;
+  w.reserve(kFrameHeaderBytes + payload.size() + kFrameChecksumBytes);
+  w.u64(kWireMagic);
+  w.u32(kWireProtocolVersion);
+  w.enumeration(type);
+  w.u64(payload.size());
+  w.bytes(payload);
+  w.seal();
+  return std::move(w).take();
 }
 
 std::optional<Frame> decode_frame(std::span<const unsigned char> bytes) {
-  if (bytes.size() < kFrameHeaderBytes + kFrameChecksumBytes) {
-    return std::nullopt;
-  }
-  // Checksum FIRST (store discipline): any flipped or missing byte fails
-  // here, before a single field is interpreted.
-  Reader tail(bytes.subspan(bytes.size() - kFrameChecksumBytes));
-  std::uint64_t want_sum = 0;
-  if (!tail.u64(want_sum)) return std::nullopt;
-  if (fnv1a(bytes.data(), bytes.size() - kFrameChecksumBytes) != want_sum) {
-    return std::nullopt;
-  }
-
-  Reader r(bytes);
-  std::uint64_t magic = 0;
-  std::uint32_t version = 0;
-  std::uint32_t type_raw = 0;
-  std::uint64_t length = 0;
-  if (!r.u64(magic) || !r.u32(version) || !r.u32(type_raw) || !r.u64(length)) {
-    return std::nullopt;
-  }
-  if (magic != kWireMagic) return std::nullopt;
-  if (version != kWireProtocolVersion) return std::nullopt;
-  if (type_raw < 1 || type_raw > kMaxMsgType) return std::nullopt;
-  if (length > kMaxFramePayload) return std::nullopt;
-  if (length !=
-      bytes.size() - kFrameHeaderBytes - kFrameChecksumBytes) {
+  // Seal FIRST: any flipped or missing byte fails here, before a single
+  // field is interpreted.
+  const auto body = codec::unseal(bytes);
+  if (!body.has_value() || body->size() < kFrameHeaderBytes) {
     return std::nullopt;
   }
   Frame frame;
-  frame.type = static_cast<MsgType>(type_raw);
-  frame.payload.assign(bytes.begin() + kFrameHeaderBytes,
-                       bytes.end() - kFrameChecksumBytes);
+  std::uint64_t length = 0;
+  if (!check_header(body->first(kFrameHeaderBytes), frame.type, length)
+           .empty() ||
+      length != body->size() - kFrameHeaderBytes) {
+    return std::nullopt;
+  }
+  const auto payload = body->subspan(kFrameHeaderBytes);
+  frame.payload.assign(payload.begin(), payload.end());
   return frame;
 }
 
@@ -693,42 +166,17 @@ std::optional<Frame> FrameBuffer::next() {
   // Validate the fixed header as soon as it is complete: a bad magic,
   // foreign protocol version or oversized length prefix poisons the
   // stream BEFORE any payload is buffered or allocated.
-  Reader r(std::span<const unsigned char>(bytes_.data(), kFrameHeaderBytes));
-  std::uint64_t magic = 0;
-  std::uint32_t version = 0;
-  std::uint32_t type_raw = 0;
+  MsgType type = MsgType::kError;
   std::uint64_t length = 0;
-  if (!r.u64(magic) || !r.u32(version) || !r.u32(type_raw) || !r.u64(length)) {
-    error_ = "wire: truncated frame header";
-    return std::nullopt;
-  }
-  if (magic != kWireMagic) {
-    error_ = "wire: bad frame magic (desynchronized stream?)";
-    return std::nullopt;
-  }
-  if (version != kWireProtocolVersion) {
-    error_ = "wire: protocol version mismatch (got " +
-             std::to_string(version) + ", want " +
-             std::to_string(kWireProtocolVersion) + ")";
-    return std::nullopt;
-  }
-  if (type_raw < 1 || type_raw > kMaxMsgType) {
-    error_ = "wire: unknown message type " + std::to_string(type_raw);
-    return std::nullopt;
-  }
-  if (length > kMaxFramePayload) {
-    error_ = "wire: oversized payload length prefix (" +
-             std::to_string(length) + " bytes)";
-    return std::nullopt;
-  }
+  error_ = check_header({bytes_.data(), kFrameHeaderBytes}, type, length);
+  if (!error_.empty()) return std::nullopt;
 
   const std::size_t total = kFrameHeaderBytes +
                             static_cast<std::size_t>(length) +
                             kFrameChecksumBytes;
   if (bytes_.size() < total) return std::nullopt;  // need more bytes
 
-  const std::optional<Frame> frame =
-      decode_frame(std::span<const unsigned char>(bytes_.data(), total));
+  std::optional<Frame> frame = decode_frame({bytes_.data(), total});
   if (!frame.has_value()) {
     error_ = "wire: frame checksum mismatch";
     return std::nullopt;
@@ -739,179 +187,165 @@ std::optional<Frame> FrameBuffer::next() {
 }
 
 // ---------------------------------------------------------------------------
-// Payload codecs. Every decoder requires the payload to be FULLY consumed
-// (r.done()): trailing garbage is rejected, not ignored.
+// Payload codecs.
 
 std::vector<unsigned char> encode_hello(const HelloPayload& p) {
-  std::vector<unsigned char> out;
-  put_u32(out, p.protocol);
-  put_str(out, p.worker_name);
-  put_i32(out, p.native_lanes);
-  put_str(out, p.isa);
-  put_u64(out, p.feature_flags);
-  return out;
+  Writer w;
+  w.u32(p.protocol);
+  w.str(p.worker_name);
+  w.i32(p.native_lanes);
+  w.str(p.isa);
+  w.u64(p.feature_flags);
+  return std::move(w).take();
 }
 
 std::optional<HelloPayload> decode_hello(
     std::span<const unsigned char> payload) {
-  Reader r(payload);
-  HelloPayload p;
-  if (!r.u32(p.protocol) || !r.str(p.worker_name) || !r.i32(p.native_lanes) ||
-      !r.str(p.isa) || !r.u64(p.feature_flags) || !r.done()) {
-    return std::nullopt;
-  }
-  return p;
+  return decode_all<HelloPayload>(payload, [](Reader& r, HelloPayload& p) {
+    return r.u32(p.protocol) && r.str(p.worker_name) &&
+           r.i32(p.native_lanes) && r.str(p.isa) && r.u64(p.feature_flags);
+  });
 }
 
 std::vector<unsigned char> encode_hello_ack(const HelloAckPayload& p) {
-  std::vector<unsigned char> out;
-  put_u64(out, p.worker_id);
-  return out;
+  Writer w;
+  w.u64(p.worker_id);
+  return std::move(w).take();
 }
 
 std::optional<HelloAckPayload> decode_hello_ack(
     std::span<const unsigned char> payload) {
-  Reader r(payload);
-  HelloAckPayload p;
-  if (!r.u64(p.worker_id) || !r.done()) return std::nullopt;
-  return p;
+  return decode_all<HelloAckPayload>(
+      payload,
+      [](Reader& r, HelloAckPayload& p) { return r.u64(p.worker_id); });
 }
 
 std::vector<unsigned char> encode_campaign_setup(
     const CampaignSetupPayload& p) {
-  std::vector<unsigned char> out;
-  put_u64(out, p.campaign_id);
-  put_campaign(out, p.campaign);
-  return out;
+  Writer w;
+  w.u64(p.campaign_id);
+  put_campaign(w, p.campaign);
+  return std::move(w).take();
 }
 
 std::optional<CampaignSetupPayload> decode_campaign_setup(
     std::span<const unsigned char> payload) {
-  Reader r(payload);
-  CampaignSetupPayload p;
-  if (!r.u64(p.campaign_id) || !get_campaign(r, p.campaign) || !r.done()) {
-    return std::nullopt;
-  }
-  return p;
+  return decode_all<CampaignSetupPayload>(
+      payload, [](Reader& r, CampaignSetupPayload& p) {
+        return r.u64(p.campaign_id) && get_campaign(r, p.campaign);
+      });
 }
 
 std::vector<unsigned char> encode_shard_request(const ShardRequestPayload& p) {
-  std::vector<unsigned char> out;
-  put_u64(out, p.campaign_id);
-  put_u64(out, p.shard_id);
-  put_u64(out, p.base);
-  put_u64(out, p.jobs.size());
+  Writer w;
+  w.u64(p.campaign_id);
+  w.u64(p.shard_id);
+  w.u64(p.base);
+  w.u64(p.jobs.size());
   for (const hls::FaultJob& job : p.jobs) {
-    put_i32(out, job.fu);
-    put_i32(out, job.site.cell);
-    put_u32(out, job.site.line);
-    put_bool(out, job.site.stuck_value);
-    put_u32(out, static_cast<std::uint32_t>(job.kind));
-    put_i32(out, job.seu_bit);
+    w.i32(job.fu);
+    w.i32(job.site.cell);
+    w.u32(job.site.line);
+    w.boolean(job.site.stuck_value);
+    w.enumeration(job.kind);
+    w.i32(job.seu_bit);
   }
-  return out;
+  return std::move(w).take();
 }
 
 std::optional<ShardRequestPayload> decode_shard_request(
     std::span<const unsigned char> payload) {
-  Reader r(payload);
-  ShardRequestPayload p;
-  std::uint64_t count = 0;
-  if (!r.u64(p.campaign_id) || !r.u64(p.shard_id) || !r.u64(p.base) ||
-      !r.count(count, 4 + 4 + 4 + 1 + 4 + 4)) {
-    return std::nullopt;
-  }
-  p.jobs.resize(static_cast<std::size_t>(count));
-  for (hls::FaultJob& job : p.jobs) {
-    std::uint32_t line = 0;
-    std::uint32_t kind = 0;
-    if (!r.i32(job.fu) || !r.i32(job.site.cell) || !r.u32(line) ||
-        !r.boolean(job.site.stuck_value) || !r.u32(kind) ||
-        !r.i32(job.seu_bit)) {
-      return std::nullopt;
-    }
-    if (job.fu < 0 || job.site.cell < hw::kNoFault || line > 255) {
-      return std::nullopt;
-    }
-    if (kind > static_cast<std::uint32_t>(hls::FaultKind::kSeu)) {
-      return std::nullopt;
-    }
-    job.kind = static_cast<hls::FaultKind>(kind);
-    // kSeu: fu names a register index and seu_bit a bit within kMaxWidth;
-    // kStuckAt must keep the sentinel so job equality round-trips.
-    if (job.kind == hls::FaultKind::kSeu) {
-      if (job.seu_bit < 0 || job.seu_bit >= kMaxWidth) return std::nullopt;
-    } else if (job.seu_bit != -1) {
-      return std::nullopt;
-    }
-    job.site.line = static_cast<std::uint8_t>(line);
-  }
-  if (!r.done()) return std::nullopt;
-  return p;
+  return decode_all<ShardRequestPayload>(
+      payload, [](Reader& r, ShardRequestPayload& p) {
+        std::uint64_t count = 0;
+        if (!r.u64(p.campaign_id) || !r.u64(p.shard_id) || !r.u64(p.base) ||
+            !r.count(count, 4 + 4 + 4 + 1 + 4 + 4)) {
+          return false;
+        }
+        p.jobs.resize(static_cast<std::size_t>(count));
+        for (hls::FaultJob& job : p.jobs) {
+          std::uint32_t line = 0;
+          if (!r.i32(job.fu) || !r.i32(job.site.cell) || !r.u32(line) ||
+              !r.boolean(job.site.stuck_value) ||
+              !r.enumeration(job.kind, hls::FaultKind::kSeu) ||
+              !r.i32(job.seu_bit)) {
+            return false;
+          }
+          if (job.fu < 0 || job.site.cell < hw::kNoFault || line > 255) {
+            return r.fail();
+          }
+          job.site.line = static_cast<std::uint8_t>(line);
+          // kSeu: fu names a register index and seu_bit a bit within
+          // kMaxWidth; kStuckAt must keep the sentinel so job equality
+          // round-trips.
+          if (job.kind == hls::FaultKind::kSeu
+                  ? job.seu_bit < 0 || job.seu_bit >= kMaxWidth
+                  : job.seu_bit != -1) {
+            return r.fail();
+          }
+        }
+        return true;
+      });
 }
 
 std::vector<unsigned char> encode_shard_result(const ShardResultPayload& p) {
-  std::vector<unsigned char> out;
-  put_u64(out, p.campaign_id);
-  put_u64(out, p.shard_id);
-  put_u64(out, p.base);
-  put_u64(out, p.per_job.size());
-  for (const fault::CampaignStats& s : p.per_job) put_stats(out, s);
-  put_f64(out, p.seconds);
-  return out;
+  Writer w;
+  w.u64(p.campaign_id);
+  w.u64(p.shard_id);
+  w.u64(p.base);
+  w.u64(p.per_job.size());
+  for (const fault::CampaignStats& s : p.per_job) codec::put_stats(w, s);
+  w.f64(p.seconds);
+  return std::move(w).take();
 }
 
 std::optional<ShardResultPayload> decode_shard_result(
     std::span<const unsigned char> payload) {
-  Reader r(payload);
-  ShardResultPayload p;
-  std::uint64_t count = 0;
-  if (!r.u64(p.campaign_id) || !r.u64(p.shard_id) || !r.u64(p.base) ||
-      !r.count(count, 32)) {
-    return std::nullopt;
-  }
-  p.per_job.resize(static_cast<std::size_t>(count));
-  for (fault::CampaignStats& s : p.per_job) {
-    if (!r.stats(s)) return std::nullopt;
-  }
-  if (!r.f64(p.seconds) || !r.done()) return std::nullopt;
-  return p;
+  return decode_all<ShardResultPayload>(
+      payload, [](Reader& r, ShardResultPayload& p) {
+        std::uint64_t count = 0;
+        if (!r.u64(p.campaign_id) || !r.u64(p.shard_id) || !r.u64(p.base) ||
+            !r.count(count, 32)) {
+          return false;
+        }
+        p.per_job.resize(static_cast<std::size_t>(count));
+        for (fault::CampaignStats& s : p.per_job) {
+          if (!codec::get_stats(r, s)) return false;
+        }
+        return r.f64(p.seconds);
+      });
 }
 
 std::vector<unsigned char> encode_campaign_response(
     const CampaignResponsePayload& p) {
-  std::vector<unsigned char> out;
-  put_u64(out, p.campaign_id);
-  put_bool(out, p.ok);
-  put_str(out, p.error);
-  put_result(out, p.result);
-  put_shard_stats(out, p.stats);
-  return out;
+  Writer w;
+  w.u64(p.campaign_id);
+  w.boolean(p.ok);
+  w.str(p.error);
+  codec::put_result(w, p.result);
+  put_shard_stats(w, p.stats);
+  return std::move(w).take();
 }
 
 std::optional<CampaignResponsePayload> decode_campaign_response(
     std::span<const unsigned char> payload) {
-  Reader r(payload);
-  CampaignResponsePayload p;
-  if (!r.u64(p.campaign_id) || !r.boolean(p.ok) || !r.str(p.error) ||
-      !get_result(r, p.result) || !get_shard_stats(r, p.stats) || !r.done()) {
-    return std::nullopt;
-  }
-  return p;
+  return decode_all<CampaignResponsePayload>(
+      payload, [](Reader& r, CampaignResponsePayload& p) {
+        return r.u64(p.campaign_id) && r.boolean(p.ok) && r.str(p.error) &&
+               codec::get_result(r, p.result) && get_shard_stats(r, p.stats);
+      });
 }
 
 std::vector<unsigned char> encode_error(const std::string& msg) {
-  std::vector<unsigned char> out;
-  put_str(out, msg);
-  return out;
+  Writer w;
+  w.str(msg);
+  return std::move(w).take();
 }
 
 std::optional<std::string> decode_error(
     std::span<const unsigned char> payload) {
-  Reader r(payload);
-  std::string msg;
-  if (!r.str(msg) || !r.done()) return std::nullopt;
-  return msg;
+  return decode_all<std::string>(
+      payload, [](Reader& r, std::string& msg) { return r.str(msg); });
 }
 
 }  // namespace sck::service

@@ -6,11 +6,10 @@
 //   u64 payload length | payload bytes
 //   u64 FNV-1a checksum over everything before it
 //
-// (all integers little-endian) — the same magic/version/length/checksum
-// framing discipline as the store entries in src/store/store.cpp, and the
-// same robustness contract: the checksum is verified FIRST, so a frame
-// with ANY flipped or missing byte is rejected before a single payload
-// field is parsed; decoders bounds-check every read and validate every
+// (all integers little-endian, sealed and parsed with common/codec.h like
+// the store entries and journal records). The checksum is verified FIRST,
+// so a frame with ANY flipped or missing byte is rejected before a single
+// payload field is parsed; decoders bounds-check every read and validate every
 // enum, index and arity, returning std::nullopt instead of ever crashing
 // or deserializing garbage (tests/test_service_wire.cpp flips and
 // truncates every byte to hold this). A version-mismatched frame and a
@@ -47,7 +46,10 @@ inline constexpr std::uint64_t kWireMagic = 0x0045524957'4B4353ULL;
 /// announcing a different version in its Hello is turned away).
 /// v2: ShardStats grew shards_journaled / shards_resumed /
 /// workers_quarantined (crash-durable resume + worker probation).
-inline constexpr std::uint32_t kWireProtocolVersion = 3;
+/// v3: the duration/SEU options and per-job kind/seu_bit.
+/// v4: the canonical codec — options are the result key followed by the
+/// execution settings, and UnitCoverage::fu_index is an i64.
+inline constexpr std::uint32_t kWireProtocolVersion = 4;
 
 /// Hard ceiling on one frame's payload. A length prefix beyond this is
 /// rejected from the header alone — a corrupted (or hostile) length can

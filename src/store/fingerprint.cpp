@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "common/assert.h"
+#include "common/codec.h"
 #include "hw/fault_site.h"
 
 namespace sck::store {
@@ -21,84 +22,66 @@ namespace {
   return x;
 }
 
-void hash_operand(FingerprintHasher& h, const hls::ExecOperand& op) {
-  h.u64(static_cast<std::uint64_t>(op.kind));
-  h.i64(op.index);
+/// Two-lane FNV-1a/64 (the standard basis and a distinct second one),
+/// cross-coupled so the pair behaves like one 128-bit digest rather than
+/// two correlated 64-bit ones. Collisions are not adversarially hard (this
+/// is a cache key, not a security boundary) — every store entry therefore
+/// echoes its full fingerprint and payload checksum, so a colliding or
+/// misplaced entry is rejected on read rather than trusted.
+[[nodiscard]] Fingerprint digest(std::span<const unsigned char> bytes) {
+  const std::uint64_t a = codec::fnv1a(bytes);
+  const std::uint64_t b = codec::fnv1a(bytes, 0x6C62272E07BB0142ULL);
+  return {mix(a + 0x9E3779B97F4A7C15ULL * b), mix(b ^ mix(a))};
 }
 
-void hash_graph(FingerprintHasher& h, const hls::Dfg& graph) {
-  h.u64(graph.size());
-  for (std::size_t i = 0; i < graph.size(); ++i) {
-    const hls::Node& n = graph.node(static_cast<hls::NodeId>(i));
-    h.u64(static_cast<std::uint64_t>(n.op));
-    h.i64(n.width);
-    h.i64(n.value);
-    h.str(n.name);
-    h.boolean(n.is_check);
-    h.i64(n.check_group);
-    h.i64(n.release_delay);
-    h.u64(n.ins.size());
-    for (const hls::NodeId in : n.ins) h.i64(in);
-  }
-  const auto hash_ids = [&h](const std::vector<hls::NodeId>& ids) {
-    h.u64(ids.size());
-    for (const hls::NodeId id : ids) h.i64(id);
-  };
-  hash_ids(graph.inputs());
-  hash_ids(graph.outputs());
-  hash_ids(graph.state_regs());
+void put_operand(codec::Writer& w, const hls::ExecOperand& op) {
+  w.enumeration(op.kind);
+  w.i32(op.index);
 }
 
-void hash_plan(FingerprintHasher& h, const hls::ExecPlan& plan) {
-  h.i64(plan.data_width);
-  h.i64(plan.num_steps);
-  h.i64(plan.num_regs);
-  h.i64(plan.num_inputs);
-  h.i64(plan.num_wires);
-  h.u64(plan.const_pool.size());
-  for (const Word c : plan.const_pool) h.u64(c);
-  h.u64(plan.ops.size());
+void put_plan(codec::Writer& w, const hls::ExecPlan& plan) {
+  w.i32(plan.data_width);
+  w.i32(plan.num_steps);
+  w.i32(plan.num_regs);
+  w.i32(plan.num_inputs);
+  w.i32(plan.num_wires);
+  w.u64(plan.const_pool.size());
+  for (const Word c : plan.const_pool) w.u64(c);
+  w.u64(plan.ops.size());
   for (const hls::ExecOp& op : plan.ops) {
-    h.u64(static_cast<std::uint64_t>(op.op));
-    h.i64(op.fu);
-    h.i64(op.wire);
-    h.i64(op.dst_reg);
-    h.i64(op.width);
-    hash_operand(h, op.src0);
-    hash_operand(h, op.src1);
+    w.enumeration(op.op);
+    w.i32(op.fu);
+    w.i32(op.wire);
+    w.i32(op.dst_reg);
+    w.i32(op.width);
+    put_operand(w, op.src0);
+    put_operand(w, op.src1);
   }
-  h.u64(plan.step_begin.size());
-  for (const std::uint32_t s : plan.step_begin) h.u64(s);
-  h.u64(plan.outputs.size());
-  for (const hls::ExecOperand& out : plan.outputs) hash_operand(h, out);
-  h.u64(plan.state_loads.size());
+  w.u64(plan.step_begin.size());
+  for (const std::uint32_t s : plan.step_begin) w.u32(s);
+  w.u64(plan.outputs.size());
+  for (const hls::ExecOperand& out : plan.outputs) put_operand(w, out);
+  w.u64(plan.state_loads.size());
   for (const hls::ExecPlan::StateLoad& load : plan.state_loads) {
-    h.i64(load.dst_reg);
-    hash_operand(h, load.source);
+    w.i32(load.dst_reg);
+    put_operand(w, load.source);
   }
-  h.i64(plan.error_output);
+  w.i32(plan.error_output);
 }
 
-/// FU identities and the complete stuck-at universe they host. The names
-/// are part of the cached result (UnitCoverage::fu_name), and the universe
-/// — enumerated exactly like the campaign's job list, pre-stride — is the
-/// set of faults the counters are reduced over.
-void hash_universe(FingerprintHasher& h, const hls::Netlist& netlist) {
-  h.u64(netlist.fus.size());
+/// The complete stuck-at universe of every FU, enumerated exactly like the
+/// campaign's job list (pre-stride): the set of faults the counters are
+/// reduced over.
+void put_universe(codec::Writer& w, const hls::Netlist& netlist) {
   const hls::FuBank probe(netlist);
   for (std::size_t f = 0; f < netlist.fus.size(); ++f) {
-    const hls::FuInstance& fu = netlist.fus[f];
-    h.u64(static_cast<std::uint64_t>(fu.cls));
-    h.i64(fu.width);
-    h.i64(fu.group);
-    h.str(fu.name);
     const std::vector<hw::FaultSite> universe =
         probe.fault_universe(static_cast<int>(f));
-    h.u64(universe.size());
+    w.u64(universe.size());
     for (const hw::FaultSite& site : universe) {
-      h.i64(site.cell);
-      h.u64(site.line);
-      h.boolean(site.stuck_value);
+      w.i32(site.cell);
+      w.u8(site.line);
+      w.boolean(site.stuck_value);
     }
   }
 }
@@ -117,40 +100,19 @@ std::string to_string(const Fingerprint& fp) {
   return s;
 }
 
-Fingerprint FingerprintHasher::finish() const {
-  // Cross-couple the lanes so the pair behaves like one 128-bit digest
-  // rather than two correlated 64-bit ones.
-  Fingerprint fp;
-  fp.hi = mix(a_ + 0x9E3779B97F4A7C15ULL * b_);
-  fp.lo = mix(b_ ^ mix(a_));
-  return fp;
-}
-
 Fingerprint campaign_fingerprint(const hls::Dfg& graph,
                                  const hls::ExecPlan& plan,
                                  const hls::NetlistCampaignOptions& options) {
   SCK_EXPECTS(plan.netlist != nullptr);
-  FingerprintHasher h;
-  h.u64(kFingerprintVersion);
-  hash_graph(h, graph);
-  hash_plan(h, plan);
-  hash_universe(h, *plan.netlist);
-  // Backend-invariant campaign options. threads and backend are
-  // deliberately absent: the differential suites prove they cannot change
-  // a bit of the result, so hashing them would only split the cache.
-  h.i64(options.samples_per_fault);
-  h.u64(options.seed);
-  h.i64(options.fault_stride);
-  h.u64(static_cast<std::uint64_t>(options.stream));
-  h.boolean(options.fault_dropping);
-  // Duration model + SEU dimension (version 2): these change per-sample
-  // fault activity and the job universe, so leaving any of them out would
-  // alias e.g. a transient campaign onto its permanent twin.
-  h.u64(static_cast<std::uint64_t>(options.duration));
-  h.i64(options.transient_samples);
-  h.u64(options.duty_permille);
-  h.boolean(options.seu_faults);
-  return h.finish();
+  codec::Writer w;
+  w.u64(kFingerprintVersion);
+  // The graph and netlist exactly as the wire ships them to workers.
+  codec::put_dfg(w, graph);
+  codec::put_netlist(w, *plan.netlist);
+  put_plan(w, plan);
+  put_universe(w, *plan.netlist);
+  codec::put_result_key(w, options);
+  return digest(w.view());
 }
 
 }  // namespace sck::store

@@ -1,29 +1,32 @@
 // Stable campaign fingerprints — the content address of the result store.
 //
 // A campaign's NetlistCampaignResult is a pure function of (reference
-// graph, compiled execution plan + the netlist identity behind it, fault
-// universe, stream mode + seed, sample count, the backend-invariant
-// campaign options) — the determinism discipline of PRs 1-5 proves the
-// backend, lane packing and thread count cannot change a single bit. The
-// fingerprint hashes exactly that input tuple into a 128-bit key, byte for
-// byte and in a pinned order, so the same campaign always maps to the same
-// on-disk entry on every platform (all values are serialized into the hash
-// as fixed-width little-endian bytes — native endianness and integer sizes
+// graph, netlist, the execution plan compiled from it, fault universe,
+// result-shaping campaign options) — the determinism discipline of PRs 1-5
+// proves the backend, lane packing and thread count cannot change a
+// single bit. The fingerprint hashes the canonical encoding
+// (common/codec.h) of exactly that input tuple into a 128-bit key, so the
+// same campaign always maps to the same on-disk entry on every platform
+// (fixed-width little-endian bytes — native endianness and integer sizes
 // never leak in).
 //
 // POISONING HAZARD: anything that changes the numerical result of a
 // campaign but is NOT hashed here would silently alias distinct campaigns
-// onto one cache slot. The converse (hashing something irrelevant) only
-// costs misses. When in doubt, hash it — and when the hashed-input
-// enumeration itself changes, bump kFingerprintVersion so every stale
-// entry misses instead of colliding (tests/test_store.cpp pins golden
+// onto one cache slot (hashing something irrelevant only costs misses).
+// The graph and netlist are covered by construction: they are hashed as
+// codec::put_dfg / codec::put_netlist, the very bytes the wire ships to
+// workers, so any field a worker can see is in the key. The options are
+// still kept by hand: codec::put_result_key lists every result-shaping
+// field, and a static_assert on the field count of NetlistCampaignOptions
+// (common/codec.cpp) fails the build when a field is added without being
+// sorted into the result key or the execution settings. Whenever the
+// hashed bytes change, bump kFingerprintVersion so every stale entry
+// misses instead of colliding (tests/test_store.cpp pins golden
 // fingerprint values to make accidental drift loud).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "hls/dfg.h"
 #include "hls/netlist_campaign.h"
@@ -31,10 +34,11 @@
 
 namespace sck::store {
 
-/// Hashed-input enumeration generation. Bump when campaign_fingerprint
-/// starts hashing different inputs (or the same inputs differently):
-/// every entry written under the old enumeration then misses cleanly.
-inline constexpr std::uint64_t kFingerprintVersion = 2;
+/// Hashed-input generation. Bump when campaign_fingerprint starts hashing
+/// different bytes: every entry written under the old generation then
+/// misses cleanly. v3: the canonical codec encoding of the graph, netlist,
+/// plan, universe and result key.
+inline constexpr std::uint64_t kFingerprintVersion = 3;
 
 /// 128-bit content address of one campaign.
 struct Fingerprint {
@@ -47,49 +51,11 @@ struct Fingerprint {
 /// 32 lowercase hex digits, hi first — the on-disk entry name.
 [[nodiscard]] std::string to_string(const Fingerprint& fp);
 
-/// Incremental two-lane FNV-1a/64 hasher with a SplitMix64 finalizer.
-/// Order-sensitive: callers must feed fields in a pinned sequence.
-/// Collisions are not adversarially hard (this is a cache key, not a
-/// security boundary) — every store entry therefore echoes its full
-/// fingerprint and payload checksum, so a colliding or misplaced entry is
-/// rejected on read rather than trusted.
-class FingerprintHasher {
- public:
-  /// Feed one 64-bit value as 8 little-endian bytes.
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      byte(static_cast<unsigned char>(v >> (8 * i)));
-    }
-  }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void boolean(bool v) { u64(v ? 1 : 0); }
-  /// Length-prefixed, so ("ab", "c") never hashes like ("a", "bc").
-  void str(std::string_view s) {
-    u64(s.size());
-    for (const char c : s) byte(static_cast<unsigned char>(c));
-  }
-
-  [[nodiscard]] Fingerprint finish() const;
-
- private:
-  void byte(unsigned char b) {
-    a_ = (a_ ^ b) * kPrime;
-    b_ = (b_ ^ b) * kPrime;
-  }
-
-  static constexpr std::uint64_t kPrime = 0x100000001B3ULL;
-  std::uint64_t a_ = 0xCBF29CE484222325ULL;  ///< FNV-1a offset basis
-  std::uint64_t b_ = 0x6C62272E07BB0142ULL;  ///< second lane, distinct basis
-};
-
-/// The campaign key: hashes the reference graph (semantics + input widths
-/// that shape the stimuli), the compiled plan (the executed structure),
-/// the netlist's FU identities (their names are part of the result's
-/// per-unit breakdown), the complete per-FU stuck-at universe, and the
-/// backend-invariant campaign options (samples, seed, stride, stream
-/// mode, fault dropping — NOT backend or threads, which are proven not to
-/// affect results). `plan` must be compiled from the netlist the campaign
-/// will run (plan.netlist is read for FU identity and fault universes).
+/// The campaign key: a two-lane FNV-1a digest of, in order, the version,
+/// codec::put_dfg(graph), codec::put_netlist(*plan.netlist), the compiled
+/// plan, the per-FU stuck-at universe and codec::put_result_key(options) —
+/// NOT backend, lanes or threads, which are proven not to affect results.
+/// `plan` must be compiled from the netlist the campaign will run.
 [[nodiscard]] Fingerprint campaign_fingerprint(
     const hls::Dfg& graph, const hls::ExecPlan& plan,
     const hls::NetlistCampaignOptions& options);

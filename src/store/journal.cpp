@@ -10,6 +10,9 @@
 #include <set>
 #include <utility>
 
+#include "common/codec.h"
+#include "store/file_io.h"
+
 namespace sck::store {
 
 namespace {
@@ -24,93 +27,37 @@ constexpr std::size_t kJournalHeaderBytes = 8 + 4 + 4 + 8 + 8 + 8 + 8;
 constexpr std::size_t kRecordFixedBytes = 8 + 8 + 8;
 constexpr std::size_t kStatsBytes = 4 * 8;
 
-void put_u64(std::vector<unsigned char>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<unsigned char>(v >> (8 * i)));
-  }
-}
-
-void put_u32(std::vector<unsigned char>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<unsigned char>(v >> (8 * i)));
-  }
-}
-
-[[nodiscard]] std::uint64_t get_u64(const unsigned char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-[[nodiscard]] std::uint32_t get_u32(const unsigned char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-[[nodiscard]] std::uint64_t fnv1a(const unsigned char* data,
-                                  std::size_t size) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    h = (h ^ data[i]) * 0x100000001B3ULL;
-  }
-  return h;
-}
-
-[[nodiscard]] bool write_all(int fd, const unsigned char* data,
-                             std::size_t size) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 }  // namespace
 
 std::vector<unsigned char> serialize_journal_header(const Fingerprint& key,
                                                     std::uint64_t job_count) {
-  std::vector<unsigned char> out;
-  out.reserve(kJournalHeaderBytes);
-  put_u64(out, kJournalMagic);
-  put_u32(out, kJournalFormatVersion);
-  put_u32(out, 0);  // reserved
-  put_u64(out, key.hi);
-  put_u64(out, key.lo);
-  put_u64(out, job_count);
-  put_u64(out, fnv1a(out.data(), out.size()));
-  return out;
+  codec::Writer w;
+  w.reserve(kJournalHeaderBytes);
+  w.u64(kJournalMagic);
+  w.u32(kJournalFormatVersion);
+  w.u32(0);  // reserved
+  w.u64(key.hi);
+  w.u64(key.lo);
+  w.u64(job_count);
+  w.seal();
+  return std::move(w).take();
 }
 
 std::vector<unsigned char> serialize_journal_record(
     std::uint64_t shard_id, std::uint64_t base,
     std::span<const fault::CampaignStats> per_job) {
-  std::vector<unsigned char> out;
+  codec::Writer w;
   const std::size_t body = kRecordFixedBytes + per_job.size() * kStatsBytes;
-  out.reserve(8 + body + 8);
-  put_u64(out, body);
-  put_u64(out, shard_id);
-  put_u64(out, base);
-  put_u64(out, per_job.size());
-  for (const fault::CampaignStats& s : per_job) {
-    put_u64(out, s.silent_correct);
-    put_u64(out, s.detected_correct);
-    put_u64(out, s.detected_erroneous);
-    put_u64(out, s.masked);
-  }
-  // Checksum over the length prefix AND the body: a torn length cannot
+  w.reserve(8 + body + 8);
+  w.u64(body);
+  w.u64(shard_id);
+  w.u64(base);
+  w.u64(per_job.size());
+  for (const fault::CampaignStats& s : per_job) codec::put_stats(w, s);
+  // Sealed over the length prefix AND the body: a torn length cannot
   // steer recovery into misparsing the tail as a fresh record.
-  put_u64(out, fnv1a(out.data(), out.size()));
-  return out;
+  w.seal();
+  return std::move(w).take();
 }
 
 ShardJournal::ShardJournal(std::string path, const Fingerprint& key,
@@ -125,21 +72,10 @@ ShardJournal::ShardJournal(std::string path, const Fingerprint& key,
     return;
   }
 
-  // Read the whole file for recovery.
+  // Read the whole file for recovery; unreadable is treated as empty and
+  // rewritten below.
   std::vector<unsigned char> bytes;
-  {
-    unsigned char buf[1 << 16];
-    for (;;) {
-      const ssize_t n = ::read(fd_, buf, sizeof buf);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        bytes.clear();  // unreadable: treat as empty, rewrite below
-        break;
-      }
-      if (n == 0) break;
-      bytes.insert(bytes.end(), buf, buf + n);
-    }
-  }
+  if (!read_all(fd_, bytes)) bytes.clear();
 
   const std::vector<unsigned char> want_header =
       serialize_journal_header(key, job_count);
@@ -153,43 +89,42 @@ ShardJournal::ShardJournal(std::string path, const Fingerprint& key,
       std::equal(want_header.begin(), want_header.end(), bytes.begin())) {
     valid = kJournalHeaderBytes;
     std::set<std::uint64_t> seen;
+    const std::span<const unsigned char> file(bytes);
     while (valid < bytes.size()) {
-      const std::size_t remaining = bytes.size() - valid;
-      if (remaining < 8) break;  // torn length prefix
-      const std::uint64_t body = get_u64(bytes.data() + valid);
+      codec::Reader prefix(file.subspan(valid));
+      std::uint64_t body = 0;
+      if (!prefix.u64(body)) break;  // torn length prefix
       // Bound the body before trusting it: a record can describe at most
       // the whole job universe.
       if (body < kRecordFixedBytes ||
-          body > kRecordFixedBytes + job_count * kStatsBytes) {
-        break;
+          body > kRecordFixedBytes + job_count * kStatsBytes ||
+          prefix.remaining() < body + 8) {
+        break;  // implausible length, or torn record or checksum
       }
-      if (remaining < 8 + body + 8) break;  // torn record or checksum
-      const std::uint64_t want_sum =
-          get_u64(bytes.data() + valid + 8 + body);
-      if (fnv1a(bytes.data() + valid, 8 + static_cast<std::size_t>(body)) !=
-          want_sum) {
+      const auto image = codec::unseal(
+          file.subspan(valid, 8 + static_cast<std::size_t>(body) + 8));
+      if (!image.has_value()) {
         break;  // bit rot / torn rewrite: nothing after it is trusted
       }
-      const unsigned char* p = bytes.data() + valid + 8;
+      codec::Reader r(image->subspan(8));
       JournalShard shard;
-      shard.shard_id = get_u64(p);
-      shard.base = get_u64(p + 8);
-      const std::uint64_t count = get_u64(p + 16);
-      if (kRecordFixedBytes + count * kStatsBytes != body) break;
+      std::uint64_t count = 0;
+      if (!r.u64(shard.shard_id) || !r.u64(shard.base) ||
+          !r.count(count, kStatsBytes)) {
+        break;
+      }
+      shard.per_job.resize(static_cast<std::size_t>(count));
+      for (fault::CampaignStats& s : shard.per_job) {
+        if (!codec::get_stats(r, s)) break;
+      }
+      // A failed read latches; done() also rejects a count that disagrees
+      // with the body length.
+      if (!r.done()) break;
       if (shard.base > job_count || count > job_count - shard.base) break;
       valid += 8 + static_cast<std::size_t>(body) + 8;
       if (!seen.insert(shard.shard_id).second) {
         ++recovery_.duplicates;  // pre-crash re-queue duplicate: first wins
         continue;
-      }
-      shard.per_job.resize(static_cast<std::size_t>(count));
-      const unsigned char* q = p + kRecordFixedBytes;
-      for (fault::CampaignStats& s : shard.per_job) {
-        s.silent_correct = get_u64(q);
-        s.detected_correct = get_u64(q + 8);
-        s.detected_erroneous = get_u64(q + 16);
-        s.masked = get_u64(q + 24);
-        q += kStatsBytes;
       }
       recovery_.shards.push_back(std::move(shard));
     }
@@ -203,7 +138,7 @@ ShardJournal::ShardJournal(std::string path, const Fingerprint& key,
     // Fresh file, or a reset: start over with our own header.
     if (::ftruncate(fd_, 0) != 0 ||
         ::lseek(fd_, 0, SEEK_SET) != 0 ||
-        !write_all(fd_, want_header.data(), want_header.size()) ||
+        !write_all(fd_, want_header) ||
         ::fsync(fd_) != 0) {
       std::fprintf(stderr,
                    "[journal] WARNING: cannot initialize '%s' (%s); "
@@ -245,7 +180,7 @@ bool ShardJournal::append(std::uint64_t shard_id, std::uint64_t base,
   if (fd_ < 0) return false;
   const std::vector<unsigned char> record =
       serialize_journal_record(shard_id, base, per_job);
-  if (!write_all(fd_, record.data(), record.size()) || ::fsync(fd_) != 0) {
+  if (!write_all(fd_, record) || ::fsync(fd_) != 0) {
     if (!warned_) {
       warned_ = true;
       std::fprintf(stderr,

@@ -4,13 +4,14 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <system_error>
 #include <utility>
+
+#include "common/codec.h"
+#include "store/file_io.h"
 
 namespace sck::store {
 
@@ -23,120 +24,16 @@ constexpr std::uint64_t kMagic = 0x45524F54534B4353ULL;
 
 /// Fixed header: magic, version+reserved, key echo, payload length.
 constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8 + 8 + 8;
-constexpr std::size_t kChecksumBytes = 8;
 
-void put_u64(std::vector<unsigned char>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<unsigned char>(v >> (8 * i)));
-  }
-}
-
-void put_u32(std::vector<unsigned char>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<unsigned char>(v >> (8 * i)));
-  }
-}
-
-void put_str(std::vector<unsigned char>& out, const std::string& s) {
-  put_u64(out, s.size());
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-void put_stats(std::vector<unsigned char>& out,
-               const fault::CampaignStats& s) {
-  put_u64(out, s.silent_correct);
-  put_u64(out, s.detected_correct);
-  put_u64(out, s.detected_erroneous);
-  put_u64(out, s.masked);
-}
-
-[[nodiscard]] std::uint64_t fnv1a(const unsigned char* data,
-                                  std::size_t size) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    h = (h ^ data[i]) * 0x100000001B3ULL;
-  }
-  return h;
-}
-
-/// Bounds-checked little-endian reader. Every accessor reports failure by
-/// returning false and latching ok() — malformed bytes can only produce a
-/// clean parse failure, never UB or an abort.
-class Reader {
- public:
-  explicit Reader(const std::vector<unsigned char>& bytes) : bytes_(bytes) {}
-
-  [[nodiscard]] bool u64(std::uint64_t& v) {
-    if (!ok_ || bytes_.size() - at_ < 8) return fail();
-    v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(bytes_[at_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    at_ += 8;
-    return true;
-  }
-
-  [[nodiscard]] bool u32(std::uint32_t& v) {
-    if (!ok_ || bytes_.size() - at_ < 4) return fail();
-    v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(bytes_[at_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    at_ += 4;
-    return true;
-  }
-
-  [[nodiscard]] bool str(std::string& s) {
-    std::uint64_t len = 0;
-    if (!u64(len)) return false;
-    if (len > remaining()) return fail();
-    s.assign(reinterpret_cast<const char*>(bytes_.data() + at_),
-             static_cast<std::size_t>(len));
-    at_ += static_cast<std::size_t>(len);
-    return true;
-  }
-
-  [[nodiscard]] bool stats(fault::CampaignStats& s) {
-    return u64(s.silent_correct) && u64(s.detected_correct) &&
-           u64(s.detected_erroneous) && u64(s.masked);
-  }
-
-  [[nodiscard]] std::size_t remaining() const { return bytes_.size() - at_; }
-  [[nodiscard]] std::size_t position() const { return at_; }
-  [[nodiscard]] bool ok() const { return ok_; }
-
- private:
-  bool fail() {
-    ok_ = false;
-    return false;
-  }
-
-  const std::vector<unsigned char>& bytes_;
-  std::size_t at_ = 0;
-  bool ok_ = true;
-};
-
-/// Write `bytes` to `path` and flush it to stable storage. POSIX I/O so
-/// the data is fsync'd before the caller renames the file into place —
-/// the crash-safety half of the atomic-commit protocol.
+/// Write `bytes` to `path` and flush it to stable storage, so the data is
+/// fsync'd before the caller renames the file into place — the
+/// crash-safety half of the atomic-commit protocol.
 [[nodiscard]] bool write_file_durable(const std::string& path,
-                                      const std::vector<unsigned char>& bytes) {
+                                      std::span<const unsigned char> bytes) {
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return false;
-  std::size_t done = 0;
-  while (done < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return false;
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  const bool synced = ::fsync(fd) == 0;
-  return (::close(fd) == 0) && synced;
+  const bool written = write_all(fd, bytes) && ::fsync(fd) == 0;
+  return (::close(fd) == 0) && written;
 }
 
 /// Best-effort directory fsync after a rename, so the committed entry's
@@ -154,46 +51,29 @@ void sync_dir(const std::string& dir) {
 std::vector<unsigned char> serialize_entry(
     const Fingerprint& key, const hls::NetlistCampaignResult& value) {
   // Payload first, so the header can carry its exact length.
-  std::vector<unsigned char> payload;
-  put_u64(payload, value.fault_universe_size);
-  put_stats(payload, value.aggregate);
-  put_u64(payload, value.per_unit.size());
-  for (const hls::UnitCoverage& unit : value.per_unit) {
-    put_u64(payload, static_cast<std::uint64_t>(
-                         static_cast<std::int64_t>(unit.fu_index)));
-    put_str(payload, unit.fu_name);
-    put_u64(payload, unit.faults);
-    put_stats(payload, unit.stats);
-  }
+  codec::Writer payload;
+  codec::put_result(payload, value);
 
-  std::vector<unsigned char> out;
-  out.reserve(kHeaderBytes + payload.size() + kChecksumBytes);
-  put_u64(out, kMagic);
-  put_u32(out, kStoreFormatVersion);
-  put_u32(out, 0);  // reserved
-  put_u64(out, key.hi);
-  put_u64(out, key.lo);
-  put_u64(out, payload.size());
-  out.insert(out.end(), payload.begin(), payload.end());
-  put_u64(out, fnv1a(out.data(), out.size()));
-  return out;
+  codec::Writer w;
+  w.reserve(kHeaderBytes + payload.size() + 8);
+  w.u64(kMagic);
+  w.u32(kStoreFormatVersion);
+  w.u32(0);  // reserved
+  w.u64(key.hi);
+  w.u64(key.lo);
+  w.u64(payload.size());
+  w.bytes(payload.view());
+  w.seal();
+  return std::move(w).take();
 }
 
 std::optional<hls::NetlistCampaignResult> deserialize_entry(
     const Fingerprint& key, const std::vector<unsigned char>& bytes) {
-  if (bytes.size() < kHeaderBytes + kChecksumBytes) return std::nullopt;
+  // Seal verified FIRST so a corrupted header cannot even steer the parse.
+  const auto body = codec::unseal(bytes);
+  if (!body.has_value()) return std::nullopt;
 
-  // Checksum over everything before the trailer; verified FIRST so a
-  // corrupted header cannot even steer the parse.
-  const std::size_t body = bytes.size() - kChecksumBytes;
-  std::uint64_t want_sum = 0;
-  for (int i = 0; i < 8; ++i) {
-    want_sum |= static_cast<std::uint64_t>(bytes[body + static_cast<std::size_t>(i)])
-                << (8 * i);
-  }
-  if (fnv1a(bytes.data(), body) != want_sum) return std::nullopt;
-
-  Reader r(bytes);
+  codec::Reader r(*body);
   std::uint64_t magic = 0;
   std::uint32_t version = 0;
   std::uint32_t reserved = 0;
@@ -204,33 +84,14 @@ std::optional<hls::NetlistCampaignResult> deserialize_entry(
     return std::nullopt;
   }
   if (magic != kMagic || version != kStoreFormatVersion || reserved != 0 ||
-      echoed != key || payload_len != body - kHeaderBytes) {
+      echoed != key || payload_len != r.remaining()) {
     return std::nullopt;
-  }
-
-  hls::NetlistCampaignResult result;
-  std::uint64_t units = 0;
-  if (!r.u64(result.fault_universe_size) || !r.stats(result.aggregate) ||
-      !r.u64(units)) {
-    return std::nullopt;
-  }
-  // Each unit occupies at least its fixed-width fields; a fabricated count
-  // larger than the remaining bytes is rejected before any allocation.
-  constexpr std::uint64_t kMinUnitBytes = 8 + 8 + 8 + 4 * 8;
-  if (units > r.remaining() / kMinUnitBytes) return std::nullopt;
-  result.per_unit.resize(static_cast<std::size_t>(units));
-  for (hls::UnitCoverage& unit : result.per_unit) {
-    std::uint64_t fu_index = 0;
-    if (!r.u64(fu_index) || !r.str(unit.fu_name) || !r.u64(unit.faults) ||
-        !r.stats(unit.stats)) {
-      return std::nullopt;
-    }
-    unit.fu_index = static_cast<int>(static_cast<std::int64_t>(fu_index));
   }
   // The payload must be consumed exactly: trailing garbage inside a
   // correctly-checksummed body still fails (defense against truncated
   // writes that happen to re-checksum).
-  if (!r.ok() || r.position() != body) return std::nullopt;
+  hls::NetlistCampaignResult result;
+  if (!codec::get_result(r, result) || !r.done()) return std::nullopt;
   return result;
 }
 
@@ -301,26 +162,17 @@ std::optional<hls::NetlistCampaignResult> CampaignStore::load(
     return std::nullopt;
   }
   const std::string path = entry_path(key);
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    return std::nullopt;
+  }
   std::vector<unsigned char> bytes;
-  {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return std::nullopt;
-    }
-    unsigned char buf[1 << 16];
-    for (;;) {
-      const ssize_t n = ::read(fd, buf, sizeof buf);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        ::close(fd);
-        quarantine(path, "read error");
-        return std::nullopt;
-      }
-      if (n == 0) break;
-      bytes.insert(bytes.end(), buf, buf + n);
-    }
-    ::close(fd);
+  const bool read = read_all(fd, bytes);
+  ::close(fd);
+  if (!read) {
+    quarantine(path, "read error");
+    return std::nullopt;
   }
 
   std::optional<hls::NetlistCampaignResult> result =

@@ -67,6 +67,30 @@ void append_bytes(std::vector<unsigned char>& out,
   return bytes;
 }
 
+/// The journal checksum, kept here independently of the library's codec.
+[[nodiscard]] std::uint64_t fnv1a(const std::vector<unsigned char>& bytes) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const unsigned char b : bytes) h = (h ^ b) * 0x100000001B3ULL;
+  return h;
+}
+
+// ---- pinned bytes ----------------------------------------------------------
+
+// kJournalFormatVersion promises that a journal written before a restart
+// (possibly by an older build) still recovers: the digests of a fixed
+// header and record pin the layout byte for byte. A failure here means
+// the format changed — bump kJournalFormatVersion instead of re-pinning.
+TEST(Journal, PinnedHeaderAndRecordBytes) {
+  const std::vector<unsigned char> header =
+      serialize_journal_header(kKey, kJobs);
+  EXPECT_EQ(header.size(), 48u);
+  EXPECT_EQ(fnv1a(header), 0xD75DB04BFDC3A060ULL);
+  const std::vector<unsigned char> record =
+      serialize_journal_record(2, 1024, stats_for(2, 3));
+  EXPECT_EQ(record.size(), 136u);
+  EXPECT_EQ(fnv1a(record), 0xFD0E8E39B4B407E0ULL);
+}
+
 // ---- the happy path --------------------------------------------------------
 
 TEST(Journal, FreshJournalIsEmptyAndUsable) {

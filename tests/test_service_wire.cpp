@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hls/builder.h"
@@ -443,6 +444,127 @@ TEST(WirePayload, HostileElementCountRejected) {
   // Layout: campaign_id u64 | shard_id u64 | base u64 | count u64 | ...
   put_u64_at(payload, 24, 0xFFFFFFFFFFFFULL);
   EXPECT_FALSE(decode_shard_result(payload).has_value());
+}
+
+// ---- options validation ----------------------------------------------------
+
+// hls::validate is the one options rule set: the wire decoder rejects what
+// it rejects and the engine dies on what it rejects. Each `broken` row
+// breaks exactly one rule; each `edge` row sits on a valid boundary and
+// must pass all three gates.
+using Edit = void (*)(hls::NetlistCampaignOptions&);
+using hls::NetlistBackend;
+using hls::StreamMode;
+using sck::fault::FaultDuration;
+
+const std::vector<std::pair<const char*, Edit>> kBrokenOptions = {
+    {"samples 0", [](auto& o) { o.samples_per_fault = 0; }},
+    {"samples 2^24+1", [](auto& o) { o.samples_per_fault = (1 << 24) + 1; }},
+    {"stride 0", [](auto& o) { o.fault_stride = 0; }},
+    {"threads -1", [](auto& o) { o.threads = -1; }},
+    {"threads 2^16+1", [](auto& o) { o.threads = (1 << 16) + 1; }},
+    {"lanes -64", [](auto& o) { o.lanes = -64; }},
+    {"lanes 32", [](auto& o) { o.lanes = 32; }},
+    {"lanes 1024", [](auto& o) { o.lanes = 1024; }},
+    {"backend 3", [](auto& o) { o.backend = static_cast<NetlistBackend>(3); }},
+    {"stream 2", [](auto& o) { o.stream = static_cast<StreamMode>(2); }},
+    {"duration 3",
+     [](auto& o) { o.duration = static_cast<FaultDuration>(3); }},
+    {"incremental per-fault",
+     [](auto& o) { o.backend = NetlistBackend::kIncremental; }},
+    {"dropping batched",
+     [](auto& o) {
+       o.stream = StreamMode::kShared;
+       o.fault_dropping = true;
+     }},
+    {"transient_samples 0", [](auto& o) { o.transient_samples = 0; }},
+    {"duty 1001", [](auto& o) { o.duty_permille = 1001; }},
+};
+
+const std::vector<std::pair<const char*, Edit>> kEdgeOptions = {
+    {"samples 1", [](auto& o) { o.samples_per_fault = 1; }},
+    {"samples 2^24", [](auto& o) { o.samples_per_fault = 1 << 24; }},
+    {"stride 1", [](auto& o) { o.fault_stride = 1; }},
+    {"threads 0", [](auto& o) { o.threads = 0; }},
+    {"threads 2^16", [](auto& o) { o.threads = 1 << 16; }},
+    {"lanes 0", [](auto& o) { o.lanes = 0; }},
+    {"lanes 64", [](auto& o) { o.lanes = 64; }},
+    {"lanes 128", [](auto& o) { o.lanes = 128; }},
+    {"lanes 256", [](auto& o) { o.lanes = 256; }},
+    {"lanes 512", [](auto& o) { o.lanes = 512; }},
+    {"scalar", [](auto& o) { o.backend = NetlistBackend::kScalar; }},
+    {"incremental shared dropping",
+     [](auto& o) {
+       o.backend = NetlistBackend::kIncremental;
+       o.stream = StreamMode::kShared;
+       o.fault_dropping = true;
+     }},
+    {"intermittent duty 0",
+     [](auto& o) {
+       o.duration = FaultDuration::kIntermittent;
+       o.duty_permille = 0;
+     }},
+    {"intermittent duty 1000",
+     [](auto& o) {
+       o.duration = FaultDuration::kIntermittent;
+       o.duty_permille = 1000;
+     }},
+    {"transient 1",
+     [](auto& o) {
+       o.duration = FaultDuration::kTransient;
+       o.transient_samples = 1;
+     }},
+};
+
+/// Small default options (samples 4) with one row's edit applied.
+[[nodiscard]] hls::NetlistCampaignOptions with(Edit edit) {
+  hls::NetlistCampaignOptions o;
+  o.samples_per_fault = 4;
+  edit(o);
+  return o;
+}
+
+[[nodiscard]] std::vector<unsigned char> setup_bytes(
+    const WireDesign& design, const hls::NetlistCampaignOptions& options) {
+  CampaignSetupPayload setup;
+  setup.campaign.graph = design.graph;
+  setup.campaign.netlist = design.netlist;
+  setup.campaign.options = options;
+  return encode_campaign_setup(setup);
+}
+
+TEST(OptionsValidation, EveryBrokenRuleIsRejectedByAllThreeGates) {
+  const WireDesign design;
+  for (const auto& [name, edit] : kBrokenOptions) {
+    const hls::NetlistCampaignOptions o = with(edit);
+    EXPECT_FALSE(hls::validate(o).empty()) << name;
+    EXPECT_FALSE(decode_campaign_setup(setup_bytes(design, o)).has_value())
+        << name;
+    EXPECT_DEATH(
+        {
+          const hls::CampaignSliceRunner runner(design.graph, design.netlist,
+                                                o);
+        },
+        "Precondition")
+        << name;
+  }
+}
+
+TEST(OptionsValidation, EveryValidBoundaryPassesAllThreeGates) {
+  const WireDesign design;
+  for (const auto& [name, edit] : kEdgeOptions) {
+    const hls::NetlistCampaignOptions o = with(edit);
+    EXPECT_EQ(hls::validate(o), "") << name;
+    const std::vector<unsigned char> bytes = setup_bytes(design, o);
+    const std::optional<CampaignSetupPayload> got =
+        decode_campaign_setup(bytes);
+    ASSERT_TRUE(got.has_value()) << name;
+    EXPECT_EQ(encode_campaign_setup(*got), bytes) << name;
+    const hls::CampaignSliceRunner runner(design.graph, design.netlist, o);
+    EXPECT_EQ(runner.jobs().size(),
+              enumerate_fault_jobs(design.netlist, o).size())
+        << name;
+  }
 }
 
 }  // namespace

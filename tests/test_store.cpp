@@ -20,6 +20,7 @@
 #include "hls/netlist_campaign.h"
 #include "hls/netlist_exec.h"
 #include "hls/schedule.h"
+#include "service/wire.h"
 #include "store/fingerprint.h"
 #include "store/journal.h"
 #include "store/store.h"
@@ -133,13 +134,13 @@ TEST(Fingerprint, PinnedGoldenValues) {
 
   EXPECT_EQ(to_string(store::campaign_fingerprint(ced.graph, ced.plan,
                                                   small_options())),
-            "08940dc6130cb7488aec08fd43c89c91");
+            "61368d5c83622952d041eb2a107d512d");
   EXPECT_EQ(to_string(store::campaign_fingerprint(plain.graph, plain.plan,
                                                   small_options())),
-            "c9f569037cd0d5f4ced56a2f692c201a");
+            "a085173464300da5ba569f2fc5edc597");
   EXPECT_EQ(to_string(store::campaign_fingerprint(
                 other_coeffs.graph, other_coeffs.plan, small_options())),
-            "af033616d70e87726a3c52625794c035");
+            "166f24cb1afb55e2c9e4bfa88bee0bc1");
 }
 
 TEST(Fingerprint, SensitiveToResultShapingInputsOnly) {
@@ -218,6 +219,37 @@ TEST(Fingerprint, SensitiveToResultShapingInputsOnly) {
   EXPECT_EQ(hex.find_first_not_of("0123456789abcdef"), std::string::npos);
 }
 
+// The daemon keys the graph and netlist it DECODED from a request; the
+// explorer keys the originals it synthesized. A store the two share must
+// hit, so for every built-in kernel and variant the key of the wire
+// round-trip must equal the key of the originals.
+TEST(Fingerprint, WireDecodedCampaignKeysLikeTheOriginal) {
+  const codesign::KernelRegistry reg = codesign::builtin_registry();
+  codesign::Explorer explorer(reg, codesign::ExplorerOptions{});
+  for (const std::string& kernel : reg.names()) {
+    for (const codesign::Variant variant : codesign::kAllVariants) {
+      const codesign::DesignPoint point{kernel, variant, true, 8};
+      service::CampaignSetupPayload setup;
+      setup.campaign.graph = explorer.reference_graph(point);
+      setup.campaign.netlist = explorer.synthesize(point).netlist;
+      setup.campaign.options = small_options();
+      const std::optional<service::CampaignSetupPayload> got =
+          service::decode_campaign_setup(service::encode_campaign_setup(setup));
+      ASSERT_TRUE(got.has_value()) << codesign::to_string(point);
+
+      const hls::ExecPlan want_plan =
+          hls::compile_execution_plan(setup.campaign.netlist);
+      const hls::ExecPlan got_plan =
+          hls::compile_execution_plan(got->campaign.netlist);
+      EXPECT_EQ(store::campaign_fingerprint(got->campaign.graph, got_plan,
+                                            got->campaign.options),
+                store::campaign_fingerprint(setup.campaign.graph, want_plan,
+                                            setup.campaign.options))
+          << codesign::to_string(point);
+    }
+  }
+}
+
 // ---- entry codec -----------------------------------------------------------
 
 TEST(EntryCodec, RoundTrip) {
@@ -277,14 +309,20 @@ TEST(EntryCodec, WrongKeyIsRejected) {
   EXPECT_FALSE(store::deserialize_entry({6, 8}, bytes).has_value());
 }
 
+/// The entry checksum, kept here independently of the library's codec.
+[[nodiscard]] std::uint64_t fnv1a(const unsigned char* data, std::size_t n) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (std::size_t i = 0; i < n; ++i) {
+    h = (h ^ data[i]) * 0x100000001B3ULL;
+  }
+  return h;
+}
+
 /// Re-checksum `bytes` in place (valid trailer over a tampered body) —
 /// builds entries that are internally consistent but semantically stale,
 /// e.g. a foreign format version.
 void fix_checksum(std::vector<unsigned char>& bytes) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (std::size_t i = 0; i + 8 < bytes.size(); ++i) {
-    h = (h ^ bytes[i]) * 0x100000001B3ULL;
-  }
+  const std::uint64_t h = fnv1a(bytes.data(), bytes.size() - 8);
   for (int i = 0; i < 8; ++i) {
     bytes[bytes.size() - 8 + static_cast<std::size_t>(i)] =
         static_cast<unsigned char>(h >> (8 * i));
@@ -299,6 +337,19 @@ TEST(EntryCodec, VersionMismatchRejectedEvenWithValidChecksum) {
   bytes[8] = static_cast<unsigned char>(store::kStoreFormatVersion + 1);
   fix_checksum(bytes);
   EXPECT_FALSE(store::deserialize_entry(key, bytes).has_value());
+}
+
+// PINNED ENTRY BYTES. kStoreFormatVersion promises that every entry a
+// previous build committed still loads: the digest of a fixed entry image
+// pins the on-disk layout byte for byte, whatever codec produces it. A
+// failure here means the entry format changed — bump kStoreFormatVersion
+// instead of re-pinning.
+TEST(EntryCodec, PinnedEntryBytes) {
+  const store::Fingerprint key{0x0123456789ABCDEFULL, 0xFEDCBA9876543210ULL};
+  const std::vector<unsigned char> bytes =
+      store::serialize_entry(key, sample_result());
+  EXPECT_EQ(bytes.size(), 226u);
+  EXPECT_EQ(fnv1a(bytes.data(), bytes.size()), 0x9D2A51391CDE13AAULL);
 }
 
 // ---- store on disk ---------------------------------------------------------
