@@ -2,7 +2,7 @@
 //
 // Lives next to the bench JSON emitter rather than in src/codesign so the
 // library keeps zero bench dependencies; every binary that runs the
-// explorer (bench/table3_fir_codesign, bench/system_coverage,
+// explorer's report as a whole (bench/system_coverage,
 // examples/codesign_explorer) shares this one encoding.
 #pragma once
 
@@ -72,9 +72,8 @@ namespace sck::bench {
     software.push(std::move(l));
   }
   JsonValue doc;
-  // report_version 1 = per-fault streams / batched backend (pre-bump,
-  // bit-compatible with every PR 3/4 artifact); 2 = shared-stream
-  // incremental coverage (see codesign/explorer.h).
+  // report_version 2 = one shared stimulus stream per campaign (see
+  // codesign/explorer.h); version 1 (per-fault streams) is retired.
   doc.set("report_version", report.report_version)
       .set("points", std::move(points))
       .set("pareto_frontier", std::move(frontier))

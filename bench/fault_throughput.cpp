@@ -7,13 +7,12 @@
 //
 // System level: the netlist-campaign engines on the complete FU stuck-at
 // sweep of a synthesized self-checking FIR through the compiled execution
-// plan (hls/netlist_exec.h) — scalar interpreter vs the W-lane bit-plane
-// backend (lane = fault, per-fault streams) vs bit-plane + thread pool,
-// then the shared-stream section: bit-plane under one shared stream vs
+// plan (hls/netlist_exec.h), all on one shared stimulus stream — the
+// scalar interpreter, then the W-lane bit-plane backend (lane = fault) vs
 // the golden-trace incremental backend (fault-cone replay) plain and with
 // fault dropping, swept over --threads pool sizes, and the lane-width
-// sweep: the same shared campaign at W = 64/128/256/512 plane lanes
-// (hw/plane.h) on one thread, reporting speedup_wide_vs_64.
+// sweep: the same campaign at W = 64/128/256/512 plane lanes (hw/plane.h)
+// on one thread, reporting speedup_wide_vs_64.
 //
 // This is the repository's perf trajectory file: it emits
 // machine-readable BENCH_fault_throughput.json so future sessions and CI
@@ -39,7 +38,7 @@
 
 #include "bench_args.h"
 #include "bench_json.h"
-#include "codesign/flow.h"
+#include "codesign/explorer.h"
 #include "common/table.h"
 #include "fault/batch_trials.h"
 #include "fault/campaign.h"
@@ -178,86 +177,26 @@ int main(int argc, char** argv) {
 
   // ---- system level: netlist campaign on the synthesized FIR ------------
   // Class-based CED FIR (the end-to-end Fig. 3 artifact): full FU stuck-at
-  // universe of the min-area netlist, per-fault seeded streams, scalar
-  // interpreter backend vs 64-lane bit-plane backend vs bit-plane + pool.
-  const sck::hls::FirSpec fir_spec{{3, -5, 7, -5, 3}, 8};
+  // universe of the min-area netlist under one shared stimulus stream. The
+  // scalar interpreter anchors every identity check below; the bit-plane
+  // and golden-trace incremental backends (fault-cone replay, plain and
+  // with fault dropping) are swept over the --threads pool sizes so the
+  // JSON records scaling. Thread count 1 runs first (it is the speedup
+  // baseline); the rest of the requested sweep follows in order,
+  // deduplicated.
+  sck::codesign::KernelRegistry fir_registry;
+  fir_registry.add(sck::codesign::make_fir_kernel({3, -5, 7, -5, 3}));
+  sck::codesign::ExplorerOptions hw_only;
+  hw_only.coverage = false;
+  sck::codesign::Explorer fir_explorer(fir_registry, hw_only);
+  const sck::codesign::DesignPoint fir_point{
+      "fir", sck::codesign::Variant::kSck, /*min_area=*/true, kWidth};
+  const sck::hls::Dfg& fir_graph = fir_explorer.reference_graph(fir_point);
+  const sck::hls::Netlist& fir_netlist =
+      fir_explorer.synthesize(fir_point).netlist;
   sck::hls::CedOptions ced_opt;
   ced_opt.style = sck::hls::CedStyle::kClassBased;
-  const sck::hls::Dfg fir_graph =
-      sck::hls::insert_ced(sck::hls::build_fir(fir_spec), ced_opt);
-  const auto fir_design = sck::codesign::synthesize_fir(
-      fir_spec, sck::codesign::Variant::kSck, /*min_area=*/true);
 
-  sck::hls::NetlistCampaignOptions sys_opt;
-  sys_opt.samples_per_fault = static_cast<int>(args.iterations);
-  sys_opt.seed = 0x2005;
-  sys_opt.threads = 1;
-  sys_opt.lanes = args.lanes;
-
-  sck::hls::NetlistCampaignResult sys_scalar_r;
-  sck::hls::NetlistCampaignResult sys_batched_r;
-  sck::hls::NetlistCampaignResult sys_parallel_r;
-  sys_opt.backend = sck::hls::NetlistBackend::kScalar;
-  const double sys_scalar_s = seconds([&] {
-    sys_scalar_r =
-        run_netlist_campaign(fir_graph, fir_design.netlist, sys_opt);
-  });
-  sys_opt.backend = sck::hls::NetlistBackend::kBatched;
-  const double sys_batched_s = seconds([&] {
-    sys_batched_r =
-        run_netlist_campaign(fir_graph, fir_design.netlist, sys_opt);
-  });
-  sys_opt.threads = 0;
-  const double sys_parallel_s = seconds([&] {
-    sys_parallel_r =
-        run_netlist_campaign(fir_graph, fir_design.netlist, sys_opt);
-  });
-
-  if (!same_netlist_result(sys_scalar_r, sys_batched_r) ||
-      !same_netlist_result(sys_scalar_r, sys_parallel_r)) {
-    std::cerr << "SYSTEM ENGINE MISMATCH: batched netlist results differ "
-                 "from the scalar interpreter — refusing to report timings\n";
-    return 1;
-  }
-
-  const auto sys_trials = static_cast<double>(sys_scalar_r.aggregate.total());
-  const double sys_scalar_tps = sys_trials / sys_scalar_s;
-  const double sys_batched_tps = sys_trials / sys_batched_s;
-  const double sys_parallel_tps = sys_trials / sys_parallel_s;
-
-  std::cout << "\nSystem-level campaign: self-checking FIR netlist ("
-            << fir_design.netlist.fus.size() << " FUs, "
-            << sys_scalar_r.fault_universe_size << " faults, "
-            << sys_opt.samples_per_fault << " samples/fault)\n\n";
-  sck::TextTable sys_table(
-      "netlist-campaign throughput (identical results, faulty samples/sec)");
-  sys_table.set_header(
-      {"engine", "seconds", "samples/sec", "speedup vs scalar"});
-  sys_table.add_row({"interpreter (scalar), 1 thread",
-                     sck::format_fixed(sys_scalar_s, 3),
-                     sck::format_fixed(sys_scalar_tps, 0), "1.00x"});
-  sys_table.add_row({"bit-plane (" + std::to_string(native_lanes) +
-                         " lanes), 1 thread",
-                     sck::format_fixed(sys_batched_s, 3),
-                     sck::format_fixed(sys_batched_tps, 0),
-                     sck::format_fixed(sys_scalar_s / sys_batched_s, 2) +
-                         "x"});
-  sys_table.add_row({"bit-plane + " + std::to_string(hw_threads) +
-                         " thread(s)",
-                     sck::format_fixed(sys_parallel_s, 3),
-                     sck::format_fixed(sys_parallel_tps, 0),
-                     sck::format_fixed(sys_scalar_s / sys_parallel_s, 2) +
-                         "x"});
-  sys_table.print(std::cout);
-
-  // ---- system level, shared streams: incremental fault-cone replay --------
-  // Same campaign under StreamMode::kShared: every fault sees identical
-  // stimuli, the fault-free work collapses to one golden trace, and the
-  // incremental backend replays only each batch's union fault cone. Swept
-  // over the --threads pool sizes so the JSON records scaling.
-  // Thread count 1 must run first (it anchors the identity checks and the
-  // speedup baseline); the rest of the requested sweep follows in order,
-  // deduplicated.
   std::vector<int> sweep{1};
   for (const int t : args.threads.empty() ? std::vector<int>{hw_threads}
                                           : args.threads) {
@@ -266,36 +205,50 @@ int main(int argc, char** argv) {
     }
   }
 
+  sck::hls::NetlistCampaignOptions shr_opt;
+  shr_opt.samples_per_fault = static_cast<int>(args.iterations);
+  shr_opt.seed = 0x2005;
+  shr_opt.threads = 1;
+  shr_opt.lanes = args.lanes;
+
+  shr_opt.backend = sck::hls::NetlistBackend::kScalar;
+  sck::hls::NetlistCampaignResult sys_scalar_r;
+  const double sys_scalar_s = seconds([&] {
+    sys_scalar_r = run_netlist_campaign(fir_graph, fir_netlist, shr_opt);
+  });
+  const auto shr_trials = static_cast<double>(sys_scalar_r.aggregate.total());
+
   {
     const sck::hls::ExecPlan plan =
-        sck::hls::compile_execution_plan(fir_design.netlist);
+        sck::hls::compile_execution_plan(fir_netlist);
     const sck::hls::FaultCones cones(plan);
     std::size_t cone_ops = 0;
     for (int f = 0; f < cones.num_fus(); ++f) {
       cone_ops += cones.cone_op_count(f);
     }
-    std::cout << "\nShared-stream campaign: mean fault cone "
+    std::cout << "\nSystem-level campaign: self-checking FIR netlist ("
+              << fir_netlist.fus.size() << " FUs, "
+              << sys_scalar_r.fault_universe_size << " faults, "
+              << shr_opt.samples_per_fault << " samples/fault, one shared "
+              << "stream); mean fault cone "
               << sck::format_fixed(static_cast<double>(cone_ops) /
                                        static_cast<double>(cones.num_fus()),
                                    1)
               << " of " << plan.ops.size() << " plan ops\n\n";
   }
 
-  sck::hls::NetlistCampaignOptions shr_opt;
-  shr_opt.samples_per_fault = static_cast<int>(args.iterations);
-  shr_opt.seed = 0x2005;
-  shr_opt.stream = sck::hls::StreamMode::kShared;
-  shr_opt.lanes = args.lanes;
-
-  sck::hls::NetlistCampaignResult shared_anchor_r;
   bool shared_identical = true;
-  double shared_1_s = 0;
+  double shared_1_s = 0;  // bit-plane, 1 thread
   double inc_1_s = 0;
+  double sys_parallel_s = 0;  // bit-plane at the last swept pool
   sck::TextTable shr_table(
-      "shared-stream campaign throughput (identical results; drop row: "
+      "netlist-campaign throughput (identical results; drop row: "
       "identical detection set)");
   shr_table.set_header(
-      {"engine", "threads", "seconds", "samples/sec", "speedup vs shared"});
+      {"engine", "threads", "seconds", "samples/sec", "speedup vs bit-plane"});
+  shr_table.add_row({"interpreter (scalar)", "1",
+                     sck::format_fixed(sys_scalar_s, 3),
+                     sck::format_fixed(shr_trials / sys_scalar_s, 0), "-"});
   sck::bench::JsonValue shared_results;
   for (const int threads : sweep) {
     shr_opt.threads = threads;
@@ -303,24 +256,23 @@ int main(int argc, char** argv) {
     sck::hls::NetlistCampaignResult inc_r;
     shr_opt.backend = sck::hls::NetlistBackend::kBatched;
     const double batched_s = seconds([&] {
-      batched_r = run_netlist_campaign(fir_graph, fir_design.netlist, shr_opt);
+      batched_r = run_netlist_campaign(fir_graph, fir_netlist, shr_opt);
     });
     shr_opt.backend = sck::hls::NetlistBackend::kIncremental;
     const double inc_s = seconds([&] {
-      inc_r = run_netlist_campaign(fir_graph, fir_design.netlist, shr_opt);
+      inc_r = run_netlist_campaign(fir_graph, fir_netlist, shr_opt);
     });
     if (threads == 1) {
-      shared_anchor_r = batched_r;
       shared_1_s = batched_s;
       inc_1_s = inc_s;
     }
+    sys_parallel_s = batched_s;
+    const bool inc_identical = same_netlist_result(sys_scalar_r, inc_r);
     shared_identical = shared_identical &&
-                       same_netlist_result(shared_anchor_r, batched_r) &&
-                       same_netlist_result(shared_anchor_r, inc_r);
+                       same_netlist_result(sys_scalar_r, batched_r) &&
+                       inc_identical;
 
-    const auto shr_trials =
-        static_cast<double>(shared_anchor_r.aggregate.total());
-    shr_table.add_row({"bit-plane shared", std::to_string(threads),
+    shr_table.add_row({"bit-plane", std::to_string(threads),
                        sck::format_fixed(batched_s, 3),
                        sck::format_fixed(shr_trials / batched_s, 0),
                        sck::format_fixed(shared_1_s / batched_s, 2) + "x"});
@@ -346,8 +298,7 @@ int main(int argc, char** argv) {
           .set("seconds", inc_s)
           .set("samples_per_sec", shr_trials / inc_s)
           .set("speedup_vs_shared_1t", shared_1_s / inc_s)
-          .set("results_identical",
-               same_netlist_result(shared_anchor_r, inc_r));
+          .set("results_identical", inc_identical);
       shared_results.push(std::move(r));
     }
   }
@@ -361,14 +312,14 @@ int main(int argc, char** argv) {
   shr_opt.fault_dropping = true;
   sck::hls::NetlistCampaignResult drop_r;
   const double drop_s = seconds([&] {
-    drop_r = run_netlist_campaign(fir_graph, fir_design.netlist, shr_opt);
+    drop_r = run_netlist_campaign(fir_graph, fir_netlist, shr_opt);
   });
   bool drop_consistent =
-      drop_r.per_unit.size() == shared_anchor_r.per_unit.size() &&
-      drop_r.aggregate.total() <= shared_anchor_r.aggregate.total();
+      drop_r.per_unit.size() == sys_scalar_r.per_unit.size() &&
+      drop_r.aggregate.total() <= sys_scalar_r.aggregate.total();
   for (std::size_t u = 0;
-       drop_consistent && u < shared_anchor_r.per_unit.size(); ++u) {
-    const auto& full = shared_anchor_r.per_unit[u].stats;
+       drop_consistent && u < sys_scalar_r.per_unit.size(); ++u) {
+    const auto& full = sys_scalar_r.per_unit[u].stats;
     const auto& drop = drop_r.per_unit[u].stats;
     drop_consistent = (drop.detections() > 0) == (full.detections() > 0) &&
                       drop.total() <= full.total() &&
@@ -386,37 +337,29 @@ int main(int argc, char** argv) {
   shr_table.print(std::cout);
 
   if (!shared_identical || !drop_consistent) {
-    std::cerr << "SHARED-STREAM ENGINE MISMATCH: incremental results "
-                 "diverged from the batched backend — refusing to report "
+    std::cerr << "SYSTEM ENGINE MISMATCH: plane-backend results diverged "
+                 "from the scalar interpreter — refusing to report "
                  "timings\n";
     return 1;
   }
 
   // ---- lane-width sweep: the plane substrate at W = 64/128/256/512 --------
-  // Same shared-stream campaign, threads pinned to 1 so the only variable
-  // is the plane word (Plane64 / PlaneN<K> / the AVX types where the build
-  // enables them): W faults per plane evaluation. Every row is gated on
-  // bit identity with the scalar interpreter under the same stream, and
-  // speedup_wide_vs_64 records the best wide-plane win per core.
-  const double shared_total =
-      static_cast<double>(shared_anchor_r.aggregate.total());
+  // Same campaign, threads pinned to 1 so the only variable is the plane
+  // word (Plane64 / PlaneN<K> / the AVX types where the build enables
+  // them): W faults per plane evaluation. Every row is gated on bit
+  // identity with the scalar interpreter, and speedup_wide_vs_64 records
+  // the best wide-plane win per core.
   shr_opt.threads = 1;
   shr_opt.fault_dropping = false;
-  shr_opt.backend = sck::hls::NetlistBackend::kScalar;
-  sck::hls::NetlistCampaignResult lane_scalar_r;
-  const double lane_scalar_s = seconds([&] {
-    lane_scalar_r =
-        run_netlist_campaign(fir_graph, fir_design.netlist, shr_opt);
-  });
-  bool lane_identical = same_netlist_result(lane_scalar_r, shared_anchor_r);
+  bool lane_identical = true;
 
   sck::TextTable lane_table(
-      "lane-width sweep, shared stream, 1 thread (identical results)");
+      "lane-width sweep, 1 thread (identical results)");
   lane_table.set_header(
       {"engine", "lanes", "seconds", "samples/sec", "speedup vs 64 lanes"});
   lane_table.add_row({"interpreter (scalar)", "-",
-                      sck::format_fixed(lane_scalar_s, 3),
-                      sck::format_fixed(shared_total / lane_scalar_s, 0),
+                      sck::format_fixed(sys_scalar_s, 3),
+                      sck::format_fixed(shr_trials / sys_scalar_s, 0),
                       "-"});
   sck::bench::JsonValue lane_rows;
   {
@@ -424,9 +367,8 @@ int main(int argc, char** argv) {
     r.set("engine", "netlist-scalar-shared")
         .set("lanes", 1)
         .set("threads", 1)
-        .set("seconds", lane_scalar_s)
-        .set("samples_per_sec", shared_total / lane_scalar_s)
-        .set("results_identical", lane_identical);
+        .set("seconds", sys_scalar_s)
+        .set("samples_per_sec", shr_trials / sys_scalar_s);
     lane_rows.push(std::move(r));
   }
   double batched_64_s = 0;
@@ -439,14 +381,14 @@ int main(int argc, char** argv) {
     sck::hls::NetlistCampaignResult inc_r;
     shr_opt.backend = sck::hls::NetlistBackend::kBatched;
     const double batched_s = seconds([&] {
-      batched_r = run_netlist_campaign(fir_graph, fir_design.netlist, shr_opt);
+      batched_r = run_netlist_campaign(fir_graph, fir_netlist, shr_opt);
     });
     shr_opt.backend = sck::hls::NetlistBackend::kIncremental;
     const double inc_s = seconds([&] {
-      inc_r = run_netlist_campaign(fir_graph, fir_design.netlist, shr_opt);
+      inc_r = run_netlist_campaign(fir_graph, fir_netlist, shr_opt);
     });
-    const bool batched_identical = same_netlist_result(lane_scalar_r, batched_r);
-    const bool inc_identical = same_netlist_result(lane_scalar_r, inc_r);
+    const bool batched_identical = same_netlist_result(sys_scalar_r, batched_r);
+    const bool inc_identical = same_netlist_result(sys_scalar_r, inc_r);
     lane_identical = lane_identical && batched_identical && inc_identical;
     if (lanes == 64) {
       batched_64_s = batched_s;
@@ -462,12 +404,12 @@ int main(int argc, char** argv) {
     lane_table.add_row(
         {"bit-plane shared", std::to_string(lanes),
          sck::format_fixed(batched_s, 3),
-         sck::format_fixed(shared_total / batched_s, 0),
+         sck::format_fixed(shr_trials / batched_s, 0),
          sck::format_fixed(batched_64_s / batched_s, 2) + "x"});
     lane_table.add_row(
         {"incremental cone replay", std::to_string(lanes),
          sck::format_fixed(inc_s, 3),
-         sck::format_fixed(shared_total / inc_s, 0),
+         sck::format_fixed(shr_trials / inc_s, 0),
          sck::format_fixed(inc_64_s / inc_s, 2) + "x"});
     {
       sck::bench::JsonValue r;
@@ -475,8 +417,8 @@ int main(int argc, char** argv) {
           .set("lanes", lanes)
           .set("threads", 1)
           .set("seconds", batched_s)
-          .set("samples_per_sec", shared_total / batched_s)
-          .set("speedup_vs_scalar", lane_scalar_s / batched_s)
+          .set("samples_per_sec", shr_trials / batched_s)
+          .set("speedup_vs_scalar", sys_scalar_s / batched_s)
           .set("speedup_vs_64", batched_64_s / batched_s)
           .set("results_identical", batched_identical);
       lane_rows.push(std::move(r));
@@ -487,8 +429,8 @@ int main(int argc, char** argv) {
           .set("lanes", lanes)
           .set("threads", 1)
           .set("seconds", inc_s)
-          .set("samples_per_sec", shared_total / inc_s)
-          .set("speedup_vs_scalar", lane_scalar_s / inc_s)
+          .set("samples_per_sec", shr_trials / inc_s)
+          .set("speedup_vs_scalar", sys_scalar_s / inc_s)
           .set("speedup_vs_64", inc_64_s / inc_s)
           .set("results_identical", inc_identical);
       lane_rows.push(std::move(r));
@@ -507,13 +449,12 @@ int main(int argc, char** argv) {
             << speedup_wide_lanes << " lanes\n";
 
   // ---- new workload shapes: multi-output matvec + state-heavy moving sum --
-  // The explorer's coverage leg defaults to shared-stream incremental
-  // (report_version 2), so the identity of that backend on the new netlist
-  // shapes — per-output check cones (matvec) and deep register timelines
-  // (moving_sum) — is part of the perf trajectory's correctness gate: one
-  // row per kernel, scalar vs batched vs incremental under one shared
-  // stream, recorded as system_<kernel>_results_identical (CI asserts
-  // every *_results_identical field).
+  // The explorer's coverage leg defaults to the incremental backend, so
+  // its identity on the new netlist shapes — per-output check cones
+  // (matvec) and deep register timelines (moving_sum) — is part of the
+  // perf trajectory's correctness gate: one row per kernel, scalar vs
+  // batched vs incremental, recorded as system_<kernel>_results_identical
+  // (CI asserts every *_results_identical field).
   const auto kernel_identity = [&](const sck::hls::Dfg& graph,
                                    const sck::hls::Netlist& netlist,
                                    const std::string& label,
@@ -521,7 +462,6 @@ int main(int argc, char** argv) {
     sck::hls::NetlistCampaignOptions opt;
     opt.samples_per_fault = static_cast<int>(args.iterations);
     opt.seed = 0x2005;
-    opt.stream = sck::hls::StreamMode::kShared;
     opt.threads = 1;
     opt.lanes = args.lanes;
 
@@ -596,9 +536,9 @@ int main(int argc, char** argv) {
   // ---- campaign service: loopback daemon + worker processes --------------
   // The distributed leg of the perf trajectory: an in-process daemon on
   // tcp:127.0.0.1:0 and 1/2/4 workers (each pinned to one execution
-  // thread, so parallelism == worker count) run the same shared-stream
-  // incremental campaign; every row is gated on BYTE identity with the
-  // single-host run — the service's whole determinism contract — and the
+  // thread, so parallelism == worker count) run the same incremental
+  // campaign; every row is gated on BYTE identity with the single-host
+  // run — the service's whole determinism contract — and the
   // "service" block carries the scheduler telemetry (excluded from
   // identity diffs, like "store").
   sck::bench::JsonValue service_rows;
@@ -611,7 +551,7 @@ int main(int argc, char** argv) {
     svc_opt.threads = 1;
     sck::hls::NetlistCampaignResult svc_ref;
     const double svc_ref_s = seconds([&] {
-      svc_ref = run_netlist_campaign(fir_graph, fir_design.netlist, svc_opt);
+      svc_ref = run_netlist_campaign(fir_graph, fir_netlist, svc_opt);
     });
     const double svc_trials = static_cast<double>(svc_ref.aggregate.total());
 
@@ -641,7 +581,7 @@ int main(int argc, char** argv) {
       }
       std::string svc_error;
       const auto got = sck::service::run_remote_campaign(
-          daemon.address(), fir_graph, fir_design.netlist, svc_opt,
+          daemon.address(), fir_graph, fir_netlist, svc_opt,
           &svc_error);
       daemon.stop();
       loop.join();
@@ -735,7 +675,7 @@ int main(int argc, char** argv) {
         .set("lanes", 1)
         .set("threads", 1)
         .set("seconds", sys_scalar_s)
-        .set("samples_per_sec", sys_scalar_tps)
+        .set("samples_per_sec", shr_trials / sys_scalar_s)
         .set("speedup_vs_scalar", 1.0);
     system_results.push(std::move(r));
   }
@@ -744,18 +684,18 @@ int main(int argc, char** argv) {
     r.set("engine", "netlist-batched")
         .set("lanes", native_lanes)
         .set("threads", 1)
-        .set("seconds", sys_batched_s)
-        .set("samples_per_sec", sys_batched_tps)
-        .set("speedup_vs_scalar", sys_scalar_s / sys_batched_s);
+        .set("seconds", shared_1_s)
+        .set("samples_per_sec", shr_trials / shared_1_s)
+        .set("speedup_vs_scalar", sys_scalar_s / shared_1_s);
     system_results.push(std::move(r));
   }
   {
     sck::bench::JsonValue r;
     r.set("engine", "netlist-batched+threads")
         .set("lanes", native_lanes)
-        .set("threads", hw_threads)
+        .set("threads", sweep.back())
         .set("seconds", sys_parallel_s)
-        .set("samples_per_sec", sys_parallel_tps)
+        .set("samples_per_sec", shr_trials / sys_parallel_s)
         .set("speedup_vs_scalar", sys_scalar_s / sys_parallel_s);
     system_results.push(std::move(r));
   }
@@ -777,16 +717,13 @@ int main(int argc, char** argv) {
       .set("system_campaign", "netlist/fir_sck_min_area/w8")
       .set("system_trials", sys_scalar_r.aggregate.total())
       .set("system_fault_universe", sys_scalar_r.fault_universe_size)
-      .set("system_results_identical", true)
-      .set("system_speedup_batched", sys_scalar_s / sys_batched_s)
+      .set("system_results_identical", shared_identical)
+      .set("system_speedup_batched", sys_scalar_s / shared_1_s)
       .set("system_speedup_batched_threads", sys_scalar_s / sys_parallel_s)
       .set("system_results", std::move(system_results))
-      .set("system_shared_campaign", "netlist/fir_sck_min_area/w8 shared")
-      .set("system_shared_trials", shared_anchor_r.aggregate.total())
       .set("system_shared_results_identical", shared_identical)
       .set("system_incremental_results_identical", shared_identical)
       .set("system_speedup_incremental", shared_1_s / inc_1_s)
-      .set("system_speedup_incremental_vs_batched", sys_batched_s / inc_1_s)
       .set("system_drop_detection_consistent", drop_consistent)
       .set("system_drop_campaign_speedup", shared_1_s / drop_s)
       .set("system_shared_results", std::move(shared_results))

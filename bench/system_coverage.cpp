@@ -13,11 +13,10 @@
 // reporting the realization-level coverage — which can then be compared
 // against the paper's local (per-operator) estimates from Table 1/Table 2.
 //
-// The sweep runs on the explorer's report_version-2 default: ONE shared
-// input stream per campaign, replayed by the golden-trace incremental
-// backend (fault-cone replay); results are bit-identical to the scalar
-// interpreter and the bit-plane backend at any lane packing and thread
-// count under shared streams (tests/test_netlist_incremental.cpp,
+// Every campaign drives ONE shared input stream through the default
+// golden-trace incremental backend (fault-cone replay); results are
+// bit-identical to the scalar interpreter and the bit-plane backend at any
+// lane packing and thread count (tests/test_netlist_incremental.cpp,
 // tests/test_backend_differential.cpp).
 //
 // Usage: ./system_coverage [json_path] [samples_per_fault] [--lanes=N]
@@ -69,8 +68,6 @@ int main(int argc, char** argv) {
   opt.campaign.threads = 0;  // full pool; results are thread-count invariant
   opt.campaign.lanes = args.lanes;  // plane width; results lane-invariant
   const int resolved_lanes = sck::hw::resolve_lanes(args.lanes);
-  // Stream/backend are explorer-managed: shared-stream incremental
-  // (report_version 2; set opt.legacy_streams for the PR 3/4 numbers).
   // Content-addressed result store: export SCK_STORE_DIR=<dir> and repeat
   // runs serve verified cached campaigns (byte-identical results; the
   // JSON gains a "store" telemetry block, excluded from identity diffs).
@@ -109,13 +106,10 @@ int main(int argc, char** argv) {
   sck::bench::JsonValue per_unit_json;
   {
     const DesignPoint point{"fir", Variant::kSck, true, kWidth};
-    // Same effective options as the explorer's report_version-2 rows.
-    sck::hls::NetlistCampaignOptions unit_opt = opt.campaign;
-    unit_opt.stream = sck::hls::StreamMode::kShared;
-    unit_opt.backend = sck::hls::NetlistBackend::kIncremental;
+    // The explorer ran this very campaign for its row of the table.
     const auto r = run_netlist_campaign(explorer.reference_graph(point),
                                         explorer.synthesize(point).netlist,
-                                        unit_opt);
+                                        opt.campaign);
     sck::TextTable per_unit("FIR with SCK: per-unit breakdown");
     per_unit.set_header({"functional unit", "faults", "erroneous", "masked",
                          "false alarms", "coverage"});

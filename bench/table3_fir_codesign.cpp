@@ -16,14 +16,12 @@
 
 #include "bench_args.h"
 #include "codesign/explorer.h"
-#include "codesign/flow.h"
 #include "common/table.h"
 
 namespace {
 
 using sck::TextTable;
-using sck::codesign::FlowReport;
-using sck::codesign::HwDesign;
+using sck::codesign::PointResult;
 using sck::codesign::SwReport;
 
 }  // namespace
@@ -36,19 +34,36 @@ int main(int argc, char** argv) {
   std::cout << "Reproduction of Bolchini et al. (DATE 2005), Table 3\n"
             << "FIR case study: 5 taps, 16-bit data path.\n\n";
 
-  const sck::hls::FirSpec spec{{3, -5, 7, -5, 3}, 16};
-  const FlowReport flow = sck::codesign::run_fir_flow(spec, args.iterations);
+  // The whole flow is one explorer run over the FIR's six designs (three
+  // variants x two objectives): synthesis, the reliability leg the paper
+  // could not measure (realization-level coverage of every design, one
+  // shared stimulus stream per campaign), the Pareto verdict and the SW leg.
+  const int width = 16;
+  sck::codesign::KernelRegistry registry;
+  registry.add(sck::codesign::make_fir_kernel({3, -5, 7, -5, 3}));
+  sck::codesign::ExplorerOptions options;
+  options.campaign.samples_per_fault = 24;
+  options.campaign.fault_stride = 3;
+  options.campaign.threads = 0;  // all hardware threads; thread-invariant
+  options.sw_samples = args.iterations;
+  sck::codesign::Explorer explorer(registry, options);
+  sck::codesign::DesignGrid grid;
+  grid.kernels = {"fir"};
+  grid.widths = {width};
+  const sck::codesign::ExplorationReport report = explorer.run(grid.points());
+  const std::vector<PointResult>& designs = report.points;
+  const std::vector<SwReport>& software = report.software.at(0).reports;
 
   TextTable hw("Table 3 (hardware): latency and area");
   hw.set_header({"Implementation", "objective", "latency (cycles)",
                  "data-ready", "clock (MHz)", "CLB slices"});
-  for (const HwDesign& d : flow.hardware) {
-    hw.add_row({std::string(to_string(d.variant)),
-                d.min_area ? "min area" : "min latency",
-                d.report.latency_formula,
-                "2 + " + std::to_string(d.report.data_ready_step) + "n",
-                sck::format_fixed(d.report.fmax_mhz, 2),
-                sck::format_fixed(d.report.slices, 0)});
+  for (const PointResult& d : designs) {
+    hw.add_row({std::string(to_string(d.point.variant)),
+                d.point.min_area ? "min area" : "min latency",
+                d.hw.latency_formula,
+                "2 + " + std::to_string(d.hw.data_ready_step) + "n",
+                sck::format_fixed(d.hw.fmax_mhz, 2),
+                sck::format_fixed(d.hw.slices, 0)});
   }
   hw.print(std::cout);
   std::cout
@@ -66,7 +81,7 @@ int main(int argc, char** argv) {
   TextTable sw("Table 3 (software): execution time and size");
   sw.set_header({"Implementation", "exe time (s)", "ratio vs plain",
                  "ops/sample (size proxy)"});
-  for (const SwReport& r : flow.software) {
+  for (const SwReport& r : software) {
     sw.add_row({std::string(to_string(r.variant)),
                 sck::format_fixed(r.seconds, 2),
                 sck::format_fixed(r.ratio_vs_plain, 2) + "x",
@@ -85,94 +100,64 @@ int main(int argc, char** argv) {
 
   std::cout << "Area ordering check: plain < embedded << class-based "
             << "(min-area rows): "
-            << flow.hardware[0].report.slices << " < "
-            << flow.hardware[4].report.slices << " < "
-            << flow.hardware[2].report.slices << "\n\n";
+            << designs[0].hw.slices << " < " << designs[4].hw.slices
+            << " < " << designs[2].hw.slices << "\n\n";
 
-  // Reliability leg of the DSE (beyond the paper's Table 3): what each
-  // variant's cost actually buys in realization-level coverage, measured
-  // by the batched system-level campaign engine (up to W faults per
-  // bit-plane sweep through the compiled netlist plan, sharded across the
-  // pool).
-  sck::hls::NetlistCampaignOptions cov_opt;
-  cov_opt.samples_per_fault = 24;
-  cov_opt.fault_stride = 3;
-  cov_opt.threads = 0;  // all hardware threads; result is thread-invariant
-  cov_opt.backend = sck::hls::NetlistBackend::kBatched;
-  const auto coverage =
-      sck::codesign::evaluate_flow_coverage(spec, flow, cov_opt);
   TextTable cov("DSE reliability leg: realization-level fault coverage");
   cov.set_header({"Implementation", "objective", "faults swept",
                   "erroneous samples", "detected", "coverage"});
-  for (const auto& c : coverage) {
-    cov.add_row({std::string(to_string(c.variant)),
-                 c.min_area ? "min area" : "min latency",
-                 std::to_string(c.faults),
-                 std::to_string(c.stats.observable_errors()),
-                 std::to_string(c.stats.detected_erroneous),
-                 sck::format_percent(c.coverage())});
+  for (const PointResult& d : designs) {
+    cov.add_row({std::string(to_string(d.point.variant)),
+                 d.point.min_area ? "min area" : "min latency",
+                 std::to_string(d.faults),
+                 std::to_string(d.stats.observable_errors()),
+                 std::to_string(d.stats.detected_erroneous),
+                 sck::format_percent(d.coverage())});
   }
   cov.print(std::cout);
 
-  // Pareto verdict over (area, latency, coverage) — the explorer's
-  // trade-off extraction applied to the six designs above.
-  std::vector<sck::codesign::ParetoMetrics> metrics;
-  for (std::size_t i = 0; i < flow.hardware.size(); ++i) {
-    metrics.push_back(sck::codesign::ParetoMetrics{
-        flow.hardware[i].report.slices,
-        static_cast<double>(flow.hardware[i].report.steps),
-        coverage[i].coverage()});
-  }
-  const std::vector<std::size_t> frontier =
-      sck::codesign::pareto_frontier(metrics);
   std::cout << "\nPareto-efficient designs (area, latency, coverage):\n";
-  for (const std::size_t i : frontier) {
-    std::cout << "  * " << to_string(flow.hardware[i].variant) << ", "
-              << (flow.hardware[i].min_area ? "min area" : "min latency")
+  for (const std::size_t i : report.frontier) {
+    std::cout << "  * " << to_string(designs[i].point.variant) << ", "
+              << (designs[i].point.min_area ? "min area" : "min latency")
               << "\n";
   }
 
   sck::bench::JsonValue hardware;
-  for (std::size_t i = 0; i < flow.hardware.size(); ++i) {
-    const HwDesign& d = flow.hardware[i];
+  for (const PointResult& d : designs) {
     sck::bench::JsonValue r;
     r.set("variant",
-          std::string(sck::codesign::variant_name(d.variant)))
-        .set("objective", d.min_area ? "min_area" : "min_latency")
-        .set("steps", d.report.steps)
-        .set("data_ready_step", d.report.data_ready_step)
-        .set("slices", d.report.slices)
-        .set("fmax_mhz", d.report.fmax_mhz)
-        .set("faults", coverage[i].faults)
-        .set("detected_erroneous", coverage[i].stats.detected_erroneous)
-        .set("masked", coverage[i].stats.masked)
-        .set("coverage", coverage[i].coverage());
-    bool on_frontier = false;
-    for (const std::size_t f : frontier) on_frontier = on_frontier || f == i;
-    r.set("on_frontier", on_frontier);
+          std::string(sck::codesign::variant_name(d.point.variant)))
+        .set("objective", d.point.min_area ? "min_area" : "min_latency")
+        .set("steps", d.hw.steps)
+        .set("data_ready_step", d.hw.data_ready_step)
+        .set("slices", d.hw.slices)
+        .set("fmax_mhz", d.hw.fmax_mhz)
+        .set("faults", d.faults)
+        .set("detected_erroneous", d.stats.detected_erroneous)
+        .set("masked", d.stats.masked)
+        .set("coverage", d.coverage())
+        .set("on_frontier", d.on_frontier);
     hardware.push(std::move(r));
   }
-  sck::bench::JsonValue software;
-  for (const SwReport& r : flow.software) {
+  sck::bench::JsonValue sw_rows;
+  for (const SwReport& r : software) {
     sck::bench::JsonValue s;
     s.set("variant", std::string(sck::codesign::variant_name(r.variant)))
         .set("seconds", r.seconds)
         .set("ratio_vs_plain", r.ratio_vs_plain)
         .set("ops_per_sample", r.ops_per_sample);
-    software.push(std::move(s));
+    sw_rows.push(std::move(s));
   }
   sck::bench::JsonValue doc;
   doc.set("bench", "table3_fir_codesign")
-      // The FIR flow wrapper is pinned to the pre-bump coverage semantics
-      // (per-fault streams; see codesign/flow.h), so this artifact stays
-      // byte-comparable with every earlier revision.
-      .set("report_version", flow.report_version)
+      .set("report_version", report.report_version)
       .set("taps", 5)
-      .set("width", spec.width)
+      .set("width", width)
       .set("sw_samples", static_cast<std::uint64_t>(args.iterations))
-      .set("samples_per_fault", cov_opt.samples_per_fault)
-      .set("fault_stride", cov_opt.fault_stride)
+      .set("samples_per_fault", options.campaign.samples_per_fault)
+      .set("fault_stride", options.campaign.fault_stride)
       .set("hardware", std::move(hardware))
-      .set("software", std::move(software));
+      .set("software", std::move(sw_rows));
   return sck::bench::save_json(doc, args.json_path);
 }

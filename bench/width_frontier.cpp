@@ -27,12 +27,10 @@
 
 #include "bench_args.h"
 #include "bench_json.h"
-#include "codesign/flow.h"
+#include "codesign/explorer.h"
 #include "common/table.h"
 #include "fault/duration.h"
 #include "fault/stats.h"
-#include "hls/builder.h"
-#include "hls/expand_sck.h"
 #include "hls/netlist_campaign.h"
 
 namespace {
@@ -52,13 +50,16 @@ struct FrontierDesign {
 };
 
 FrontierDesign make_design(int width) {
-  const sck::hls::FirSpec spec{{3, -5, 7, -5, 3}, width};
-  sck::hls::CedOptions ced_opt;
-  ced_opt.style = sck::hls::CedStyle::kClassBased;
-  const sck::codesign::HwDesign hw = sck::codesign::synthesize_fir(
-      spec, sck::codesign::Variant::kSck, /*min_area=*/true);
-  return FrontierDesign{width, insert_ced(build_fir(spec), ced_opt),
-                        hw.netlist, hw.report};
+  sck::codesign::KernelRegistry registry;
+  registry.add(sck::codesign::make_fir_kernel({3, -5, 7, -5, 3}));
+  sck::codesign::ExplorerOptions hw_only;
+  hw_only.coverage = false;
+  sck::codesign::Explorer explorer(registry, hw_only);
+  const sck::codesign::DesignPoint point{"fir", sck::codesign::Variant::kSck,
+                                         /*min_area=*/true, width};
+  const sck::codesign::SynthesizedPoint& design = explorer.synthesize(point);
+  return FrontierDesign{width, explorer.reference_graph(point),
+                        design.netlist, design.report};
 }
 
 struct ModelPoint {
@@ -72,7 +73,6 @@ std::vector<ModelPoint> model_axis(int samples) {
   NetlistCampaignOptions base;
   base.samples_per_fault = samples;
   base.seed = 0x2005;
-  base.stream = sck::hls::StreamMode::kShared;
   base.backend = NetlistBackend::kIncremental;
   base.threads = 1;
 

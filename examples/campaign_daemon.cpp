@@ -12,8 +12,8 @@
 //       (0 disables).
 //
 //   campaign_daemon submit ADDR [json_path] [--samples=N]
-//       Submit the demo campaign (self-checking FIR, shared-stream
-//       incremental backend) to the daemon at ADDR, then run the SAME
+//       Submit the demo campaign (self-checking FIR, incremental
+//       backend) to the daemon at ADDR, then run the SAME
 //       campaign in-process and verify the distributed report is
 //       byte-identical. Writes a JSON report whose "service" block holds
 //       the scheduler telemetry (per-worker shard counts, re-queues,
@@ -26,7 +26,6 @@
 //       gate.
 //
 // Demo worker:  campaign_worker ADDR  (examples/campaign_worker.cpp)
-#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -34,17 +33,17 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <string_view>
 
-#include "codesign/flow.h"
+#include "cli_flags.h"
+#include "codesign/explorer.h"
 #include "common/table.h"
-#include "hls/builder.h"
-#include "hls/expand_sck.h"
 #include "hls/netlist_campaign.h"
 #include "service/client.h"
 #include "service/daemon.h"
 
 namespace {
+
+using sck::examples::numeric_flag;
 
 sck::service::CampaignDaemon* g_daemon = nullptr;
 
@@ -60,20 +59,6 @@ constexpr const char* kCampaignUsage =
     " [--samples=N] [--duration=MODEL] [--transient-samples=N]"
     " [--duty=PERMILLE] [--seu]\n";
 
-/// Parses the value of `--name=VALUE` if `arg` is that flag. The whole
-/// value must be a number of type T: "abc", "12x" and out-of-range values
-/// are errors, never a silent 0 or a truncated prefix.
-template <class T>
-[[nodiscard]] bool numeric_flag(std::string_view arg, std::string_view name,
-                                T& out, bool& bad) {
-  if (!arg.starts_with(name)) return false;
-  const std::string_view value = arg.substr(name.size());
-  const char* end = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
-  bad = ec != std::errc{} || ptr != end;
-  return true;
-}
-
 struct DemoDesign {
   sck::hls::Dfg graph;
   sck::hls::Netlist netlist;
@@ -83,23 +68,21 @@ struct DemoDesign {
 /// CED, min-area binding — 9232 fault jobs, enough for a real shard
 /// schedule at 512-job granularity.
 DemoDesign demo_design() {
-  const sck::hls::FirSpec fir_spec{{3, -5, 7, -5, 3}, 8};
-  sck::hls::CedOptions ced_opt;
-  ced_opt.style = sck::hls::CedStyle::kClassBased;
-  DemoDesign d{
-      sck::hls::insert_ced(sck::hls::build_fir(fir_spec), ced_opt),
-      sck::codesign::synthesize_fir(fir_spec, sck::codesign::Variant::kSck,
-                                    /*min_area=*/true)
-          .netlist};
-  return d;
+  sck::codesign::KernelRegistry registry;
+  registry.add(sck::codesign::make_fir_kernel({3, -5, 7, -5, 3}));
+  sck::codesign::ExplorerOptions hw_only;
+  hw_only.coverage = false;
+  sck::codesign::Explorer explorer(registry, hw_only);
+  const sck::codesign::DesignPoint point{"fir", sck::codesign::Variant::kSck,
+                                         /*min_area=*/true, 8};
+  return DemoDesign{explorer.reference_graph(point),
+                    explorer.synthesize(point).netlist};
 }
 
 sck::hls::NetlistCampaignOptions demo_options(int samples) {
   sck::hls::NetlistCampaignOptions opt;
   opt.samples_per_fault = samples;
   opt.seed = 0x2005;
-  opt.backend = sck::hls::NetlistBackend::kIncremental;
-  opt.stream = sck::hls::StreamMode::kShared;
   return opt;
 }
 

@@ -13,25 +13,37 @@
 // --reconnect makes the worker survive transport loss and daemon restarts
 // by redialing with exponential backoff; a daemon unreachable for a whole
 // connect-timeout window retires the worker cleanly.
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "cli_flags.h"
+#include "hls/netlist_campaign.h"
 #include "service/worker.h"
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: campaign_worker ADDR [--name=S] [--lanes=N] [--threads=N] "
+    "[--max-shards=N] [--abrupt] [--reconnect]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
+  using sck::examples::numeric_flag;
   sck::service::WorkerOptions opt;
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    bool bad = false;
     if (arg.rfind("--name=", 0) == 0) {
       opt.name = arg.substr(7);
-    } else if (arg.rfind("--lanes=", 0) == 0) {
-      opt.lanes = std::atoi(arg.c_str() + 8);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      opt.threads = std::atoi(arg.c_str() + 10);
-    } else if (arg.rfind("--max-shards=", 0) == 0) {
-      opt.max_shards = std::atoi(arg.c_str() + 13);
+    } else if (numeric_flag(arg, "--lanes=", opt.lanes, bad) ||
+               numeric_flag(arg, "--threads=", opt.threads, bad) ||
+               numeric_flag(arg, "--max-shards=", opt.max_shards, bad)) {
+      if (bad) {
+        std::cerr << "invalid value: " << arg << "\n" << kUsage;
+        return 2;
+      }
     } else if (arg == "--abrupt") {
       opt.abrupt = true;
     } else if (arg == "--reconnect") {
@@ -40,13 +52,21 @@ int main(int argc, char** argv) {
       opt.connect = arg;
       ++positional;
     } else {
-      std::cerr << "unknown option: " << arg << "\n";
+      std::cerr << "unknown option: " << arg << "\n" << kUsage;
       return 2;
     }
   }
   if (positional == 0) {
-    std::cerr << "usage: campaign_worker ADDR [--name=S] [--lanes=N] "
-                 "[--threads=N] [--max-shards=N] [--abrupt] [--reconnect]\n";
+    std::cerr << kUsage;
+    return 2;
+  }
+  // The local overrides replace the campaign's own lanes and threads, so
+  // they must pass the engine's rule set before the worker connects.
+  sck::hls::NetlistCampaignOptions overrides;
+  overrides.lanes = opt.lanes;
+  overrides.threads = opt.threads;
+  if (const std::string why = sck::hls::validate(overrides); !why.empty()) {
+    std::cerr << "invalid worker options: " << why << "\n" << kUsage;
     return 2;
   }
   return sck::service::run_worker(opt);

@@ -6,27 +6,44 @@
 // kernel registry (FIR, IIR biquad, dot product, divider, multi-output
 // matvec, state-heavy moving sum) x protection variants (plain /
 // class-based SCK / embedded checks) x synthesis objectives (min area /
-// min latency), each point synthesized to a netlist, swept through the
-// shared-stream incremental fault campaign (report_version 2; set
-// ExplorerOptions::legacy_streams for the pre-bump per-fault numbers),
-// and the (area, latency, coverage) Pareto frontier extracted — the map a
+// min latency), each point synthesized to a netlist, swept through an
+// incremental fault campaign on one shared stimulus stream, and the
+// (area, latency, coverage) Pareto frontier extracted — the map a
 // designer would use to pick an implementation.
 //
 // Build & run:  ./build/codesign_explorer [width] [samples_per_fault] [sw_samples]
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "cli_flags.h"
 #include "codesign/explorer.h"
 #include "common/table.h"
+#include "common/word.h"
 
 using namespace sck::codesign;
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: codesign_explorer [width] [samples_per_fault] [sw_samples]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  const int width = argc > 1 ? std::atoi(argv[1]) : 8;
-  const int samples_per_fault = argc > 2 ? std::atoi(argv[2]) : 12;
-  const std::size_t sw_samples =
-      argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 1'000'000;
+  int width = 8;
+  int samples_per_fault = 12;
+  std::size_t sw_samples = 1'000'000;
+  if (argc > 4 ||
+      (argc > 1 && !sck::examples::parse_number(argv[1], width)) ||
+      (argc > 2 && !sck::examples::parse_number(argv[2], samples_per_fault)) ||
+      (argc > 3 && !sck::examples::parse_number(argv[3], sw_samples))) {
+    std::cerr << "invalid arguments\n" << kUsage;
+    return 2;
+  }
+  if (width < 1 || width > sck::kMaxWidth) {
+    std::cerr << "width must be in 1.." << sck::kMaxWidth << "\n" << kUsage;
+    return 2;
+  }
 
   const KernelRegistry registry = builtin_registry();
 
@@ -35,6 +52,10 @@ int main(int argc, char** argv) {
   opt.campaign.fault_stride = 2;
   opt.campaign.threads = 0;  // all hardware threads; result thread-invariant
   opt.sw_samples = sw_samples;
+  if (const std::string why = sck::hls::validate(opt.campaign); !why.empty()) {
+    std::cerr << "invalid campaign options: " << why << "\n" << kUsage;
+    return 2;
+  }
   // Opt-in persistent result store: export SCK_STORE_DIR=<dir> and
   // re-runs of the same grid serve their campaigns from verified cache
   // entries (bit-identical to recomputing; see src/store/store.h).

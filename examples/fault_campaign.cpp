@@ -11,11 +11,11 @@
 // 0/omitted = SCK_LANES env, then the CPU default. Results are identical
 // at every width — the flag only changes how many faults share a batch.)
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "cli_flags.h"
 #include "fault/batch_trials.h"
 #include "fault/campaign.h"
 #include "fault/trials.h"
@@ -28,11 +28,23 @@ using sck::fault::CampaignResult;
 using sck::fault::Technique;
 using sck::hw::RippleCarryAdder;
 
+constexpr const char* kUsage = "usage: fault_campaign [--lanes=N]\n";
+
 int main(int argc, char** argv) {
   int lanes = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--lanes=", 0) == 0) lanes = std::atoi(arg.c_str() + 8);
+    bool bad = false;
+    if (!sck::examples::numeric_flag(arg, "--lanes=", lanes, bad)) {
+      std::cerr << "unknown option: " << arg << "\n" << kUsage;
+      return 2;
+    }
+    if (bad || (lanes != 0 && !sck::hw::lanes_supported(lanes))) {
+      std::cerr << "invalid value: " << arg
+                << " (lanes must be 0, 64, 128, 256 or 512)\n"
+                << kUsage;
+      return 2;
+    }
   }
   const int width = 4;
   RippleCarryAdder adder(width);

@@ -109,8 +109,6 @@ const SynthesizedPoint& Explorer::synthesize(const DesignPoint& point) {
 ExplorationReport Explorer::run(const std::vector<DesignPoint>& grid) {
   ExplorationReport report;
   report.points.resize(grid.size());
-  report.report_version = options_.legacy_streams ? kLegacyReportVersion
-                                                  : kSharedStreamReportVersion;
 
   std::vector<std::size_t> order = options_.evaluation_order;
   if (order.empty()) {
@@ -157,33 +155,18 @@ ExplorationReport Explorer::run(const std::vector<DesignPoint>& grid) {
         fault::resolve_threads(options_.point_threads),
         static_cast<int>(std::max<std::size_t>(grid.size(), 1)));
     hls::NetlistCampaignOptions campaign_opt = options_.campaign;
-    // report_version 1 promises byte-exactness with every pre-bump report;
-    // the duration/SEU fault models did not exist then, so a legacy run
-    // must not quietly change its numbers via the new knobs.
-    if (options_.legacy_streams) {
-      SCK_EXPECTS(campaign_opt.duration == fault::FaultDuration::kPermanent);
-      SCK_EXPECTS(!campaign_opt.seu_faults);
-    }
-    if (!options_.legacy_streams) {
-      // report_version 2: one shared stream per campaign, replayed by the
-      // golden-trace incremental backend (campaigns stay bit-identical at
-      // any thread count under a fixed stream mode + backend).
-      campaign_opt.stream = hls::StreamMode::kShared;
-      campaign_opt.backend = hls::NetlistBackend::kIncremental;
-      campaign_opt.fault_dropping = options_.fault_dropping;
-    }
     if (pool > 1) {
       campaign_opt.threads =
           std::max(1, fault::resolve_threads(campaign_opt.threads) / pool);
     }
     // Content-addressed result store (off unless store_dir is set). The
-    // fingerprint is taken over the EFFECTIVE campaign options — after the
-    // stream/backend management above — minus the proven-irrelevant knobs
-    // (backend, threads), so a hit is byte-identical to recomputing by the
-    // determinism guarantees the backends already ship. Lookups and
-    // commits run inside the workers; the store is thread-safe and every
-    // failure path (corrupt entry, unwritable dir) degrades to a
-    // recompute, never to an abort or a wrong number.
+    // fingerprint is taken over the campaign options minus the
+    // proven-irrelevant knobs (backend, threads, lanes), so a hit is
+    // byte-identical to recomputing by the determinism guarantees the
+    // backends already ship. Lookups and commits run inside the workers;
+    // the store is thread-safe and every failure path (corrupt entry,
+    // unwritable dir) degrades to a recompute, never to an abort or a
+    // wrong number.
     std::unique_ptr<store::CampaignStore> cache;
     if (!options_.store_dir.empty()) {
       cache = std::make_unique<store::CampaignStore>(options_.store_dir);

@@ -6,12 +6,11 @@
 // through the HLS substrate (builder -> schedule -> bind -> netlist ->
 // area/time model), caches the synthesized design keyed by point, measures
 // its realization-level fault coverage through the system-level campaign
-// engine (hls::run_netlist_campaign — by default ONE shared input stream
-// replayed by the golden-trace incremental backend, report_version 2;
-// ExplorerOptions::legacy_streams restores the per-fault bit-plane sweeps
-// of report_version 1 — always sharded across fault/parallel.h and
-// reduced in fault-index order), and extracts the Pareto frontier over
-// (area, latency, coverage).
+// engine (hls::run_netlist_campaign with ExplorerOptions::campaign as
+// given — ONE shared input stream, by default replayed by the golden-trace
+// incremental backend, sharded across fault/parallel.h and reduced in
+// fault-index order), and extracts the Pareto frontier over (area,
+// latency, coverage).
 //
 // Determinism: every per-point evaluation depends only on the point and
 // the options — synthesis is a pure function of the DFG and the campaign
@@ -62,34 +61,18 @@ struct DesignGrid {
   [[nodiscard]] std::vector<DesignPoint> points() const;
 };
 
-/// Report-format generation of the coverage leg (emitted into the
-/// explorer JSON as "report_version"):
-///   1  the PR 3/4 semantics: per-fault input streams on the 64-lane
-///      bit-plane backend — every pre-bump ExplorationReport is
-///      bit-compatible with this version;
-///   2  the current default: ONE (seed, sample index)-keyed shared stream
-///      replayed by the golden-trace incremental backend — same fault
-///      universe, different (deliberately incompatible) stimuli.
-inline constexpr int kLegacyReportVersion = 1;
+/// Report-format generation of the coverage leg, emitted into the explorer
+/// JSON as "report_version": ONE (seed, sample index)-keyed input stream
+/// shared by every fault. (Version 1, per-fault streams, is retired.)
 inline constexpr int kSharedStreamReportVersion = 2;
 
 struct ExplorerOptions {
-  /// Coverage-leg configuration (samples/fault, stride, seed, threads).
-  /// The stream/backend/fault-dropping fields are MANAGED by the explorer:
-  /// by default the coverage leg forces StreamMode::kShared +
-  /// NetlistBackend::kIncremental (report_version 2); set legacy_streams
-  /// to run this struct verbatim instead (report_version 1, bit-exact
-  /// with every pre-bump report).
+  /// Coverage-leg campaign, run as given except that `threads` is divided
+  /// by the point-sharding pool size. With campaign.fault_dropping the
+  /// four-way totals shrink, so per-point coverage() answers the cheaper
+  /// "is every fault ever detected?" query — do not compare such reports
+  /// against full-taxonomy runs.
   hls::NetlistCampaignOptions campaign;
-  /// Opt-out: reproduce the PR 3/4 coverage leg (per-fault streams,
-  /// batched backend — or whatever `campaign` says) byte-identically.
-  bool legacy_streams = false;
-  /// Coverage-only sweeps (ignored under legacy_streams): retire each
-  /// fault lane at its first detection. The detection set is preserved but
-  /// the four-way totals shrink, so per-point coverage() answers the
-  /// cheaper "is every fault ever detected?" query — do not compare such
-  /// reports against full-taxonomy runs.
-  bool fault_dropping = false;
   bool coverage = true;     ///< false = HW-only sweep (area/latency map)
   std::size_t sw_samples = 0;  ///< per-kernel SW leg workload; 0 = skip
   /// Worker threads sharding WHOLE design points across the grid (0 = all
@@ -107,7 +90,7 @@ struct ExplorerOptions {
   /// Persistent content-addressed campaign-result store (store/store.h).
   /// Empty = off. When set, each point's coverage campaign is keyed by a
   /// stable fingerprint of its inputs (graph, compiled plan, fault
-  /// universe, stream + seed, samples, stride, dropping) and served from
+  /// universe and every result-shaping option) and served from
   /// disk on a verified hit — byte-identical to recomputing, because
   /// campaigns are deterministic. Corrupt or stale entries are quarantined
   /// and recomputed, an unusable directory degrades to uncached execution;
@@ -148,8 +131,8 @@ struct ExplorationReport {
   std::vector<PointResult> points;      ///< grid order
   std::vector<std::size_t> frontier;    ///< indices into points, ascending
   std::vector<KernelSwLeg> software;    ///< kernel first-appearance order
-  /// Which coverage-leg semantics produced the numbers (see
-  /// kLegacyReportVersion / kSharedStreamReportVersion above).
+  /// Which coverage-leg semantics produced the numbers (always
+  /// kSharedStreamReportVersion).
   int report_version = kSharedStreamReportVersion;
   /// Result-store telemetry (ExplorerOptions::store_dir). Deliberately NOT
   /// part of the report's scientific payload: hits are byte-identical to

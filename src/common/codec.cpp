@@ -348,18 +348,20 @@ void put_exec_settings(Writer& w, const hls::NetlistCampaignOptions& o) {
 }  // namespace
 
 // The options are the one fingerprint input still listed by hand: every
-// field is either in the result key or an execution setting.
+// field is either in the result key or an execution setting, except
+// `stream`, which has one value and is read by nothing.
 static_assert(aggregate_arity<hls::NetlistCampaignOptions>() == 12,
               "NetlistCampaignOptions gained or lost a field: add it to "
               "put_result_key (if it can change a result bit) or to "
               "put_exec_settings, update get_options and hls::validate, and "
-              "bump kFingerprintVersion and kWireProtocolVersion");
+              "bump kFingerprintVersion and kWireProtocolVersion. `stream` "
+              "is the one field in neither: it is kept only so existing "
+              "source that assigns it still compiles");
 
 void put_result_key(Writer& w, const hls::NetlistCampaignOptions& o) {
   w.i32(o.samples_per_fault);
   w.u64(o.seed);
   w.i32(o.fault_stride);
-  w.enumeration(o.stream);
   w.boolean(o.fault_dropping);
   w.enumeration(o.duration);
   w.i32(o.transient_samples);
@@ -374,7 +376,7 @@ void put_options(Writer& w, const hls::NetlistCampaignOptions& o) {
 
 bool get_options(Reader& r, hls::NetlistCampaignOptions& o) {
   if (!r.i32(o.samples_per_fault) || !r.u64(o.seed) || !r.i32(o.fault_stride) ||
-      !r.enumeration(o.stream) || !r.boolean(o.fault_dropping) ||
+      !r.boolean(o.fault_dropping) ||
       !r.enumeration(o.duration) || !r.i32(o.transient_samples) ||
       !r.u32(o.duty_permille) || !r.boolean(o.seu_faults) ||
       !r.i32(o.threads) || !r.i32(o.lanes) || !r.enumeration(o.backend)) {

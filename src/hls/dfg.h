@@ -17,14 +17,12 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "common/assert.h"
-#include "hw/batch.h"
 
 namespace sck::hls {
 
@@ -217,48 +215,5 @@ class Dfg {
   mutable std::vector<NodeId> topo_cache_;
   mutable bool topo_dirty_ = true;
 };
-
-/// Plane-wise twin of Dfg::eval for the batched campaign drivers: lane L
-/// of every BatchWordT<P> computes exactly what eval() computes on lane
-/// L's scalars (golden plane arithmetic from hw/batch.h; full-word
-/// comparator glue as differing/nonzero lane masks; zero-divisor lanes
-/// produce 0 like the scalar short-circuit). The constructor compiles the
-/// evaluation once: topo order hoisted, constants pre-broadcast, and —
-/// when a `skip_output` name is given — the node set restricted to the
-/// backward cone of the remaining outputs (the campaign never reads the
-/// reference "error" flag, so the reference need not compute the check
-/// cluster; the kept outputs are bit-identical either way). The per-sample
-/// loop performs no allocation. P is any plane word from hw/plane.h;
-/// explicit instantiations for every width live in dfg.cpp.
-template <typename P>
-class DfgBatchEvaluatorT {
- public:
-  explicit DfgBatchEvaluatorT(const Dfg& graph,
-                              std::string_view skip_output = {});
-
-  /// Copying duplicates the compiled order/liveness tables and the scratch
-  /// planes but NOT the compile work itself — campaign workers copy one
-  /// prototype instead of redoing topo + check-cone DCE per worker.
-  DfgBatchEvaluatorT(const DfgBatchEvaluatorT&) = default;
-
-  /// Evaluate one sample on all W lanes. `inputs` by position in
-  /// graph.inputs() (planes at or above each input's width must be zero,
-  /// which pack() guarantees); `reg_state` is the per-lane architectural
-  /// state, advanced in place; `outputs` filled by position in
-  /// graph.outputs(). Skipped outputs (and state registers feeding only
-  /// them) read as zero.
-  void eval(std::span<const hw::BatchWordT<P>> inputs,
-            std::vector<hw::BatchWordT<P>>& reg_state,
-            std::span<hw::BatchWordT<P>> outputs);
-
- private:
-  const Dfg& graph_;
-  std::vector<NodeId> order_;   ///< needed compute nodes, topo order
-  std::vector<char> live_reg_;  ///< per state-reg slot: next value matters
-  std::vector<hw::BatchWordT<P>> value_;
-};
-
-/// The 64-lane reference evaluator.
-using DfgBatchEvaluator = DfgBatchEvaluatorT<hw::LaneMask>;
 
 }  // namespace sck::hls

@@ -20,25 +20,16 @@ namespace {
 // Decoupling salts for the hash-derived duration decisions: each decision
 // family draws from its own (seed ^ salt) stream so transient windows, the
 // intermittent duty and SEU flip samples never correlate with each other
-// or with the operand-stream keying above.
+// or with the operand-stream keying below.
 constexpr std::uint64_t kTransientSalt = 0xB5297A4D3C2E9F17ULL;
 constexpr std::uint64_t kIntermittentSalt = 0x2545F4914F6CDD1DULL;
 constexpr std::uint64_t kSeuSalt = 0x9E6C63D0876A9A4FULL;
 
-/// Per-fault seed derivation (StreamMode::kPerFault): fault streams must
-/// depend only on (seed, global fault index) so the campaign is invariant
-/// under the thread count, the lane packing, the dynamic schedule AND the
-/// slice partition a distributed run chooses (the Xoshiro constructor
+/// Per-sample seed derivation: one stream keyed by (seed, sample index),
+/// identical for every fault, so the campaign is invariant under the
+/// thread count, the lane packing, the dynamic schedule and the slice
+/// partition a distributed run chooses (the Xoshiro constructor
 /// SplitMix-expands the mixed value).
-[[nodiscard]] std::uint64_t fault_stream_seed(std::uint64_t seed,
-                                              std::uint64_t fault_index) {
-  return seed ^ ((fault_index + 1) * 0x9E3779B97F4A7C15ULL);
-}
-
-/// Per-sample seed derivation (StreamMode::kShared): one stream keyed by
-/// (seed, sample index), identical for every fault. The extra constant
-/// decouples it from the per-fault keying above, so switching modes never
-/// replays the same stimuli under a different meaning.
 [[nodiscard]] std::uint64_t sample_stream_seed(std::uint64_t seed,
                                                std::uint64_t sample_index) {
   return seed ^ 0xD1B54A32D192ED03ULL ^
@@ -46,8 +37,7 @@ constexpr std::uint64_t kSeuSalt = 0x9E6C63D0876A9A4FULL;
 }
 
 /// Materialise the shared input stream (samples x graph inputs,
-/// sample-major), bounded per input width exactly like the per-fault
-/// generation.
+/// sample-major), each value bounded by its input's width.
 [[nodiscard]] std::vector<Word> make_shared_stream(
     const Dfg& graph, const NetlistCampaignOptions& options) {
   const std::size_t num_inputs = graph.inputs().size();
@@ -89,32 +79,43 @@ template <typename P>
   return static_cast<int>(lanes);
 }
 
-/// One injected-fault run on the scalar backend: an input stream through
-/// the faulty netlist against the fault-free reference model. The stream
-/// is per-fault (seeded by the GLOBAL `fault_index`) or, when
-/// `shared_stream` is non-empty, the campaign-wide shared one. Handles the
-/// duration model internally — the stuck-at site is armed exactly on the
-/// samples fault_active_at says so, and SEU jobs flip their register bit
-/// once at the hash-derived sample. The sim must arrive fault-free and is
-/// returned fault-free.
-fault::CampaignStats run_one_fault(const Dfg& graph, NetlistSim& sim,
+/// Lanes of `got` that differ from the reference outputs of sample `k`
+/// (`want_values`, samples x outputs), the error output excluded: the
+/// reference error flag is 0 by construction.
+template <typename P>
+[[nodiscard]] P erroneous_lanes(std::span<const hw::BatchWordT<P>> got,
+                                std::span<const Word> want_values, int k,
+                                std::int32_t error_output) {
+  P erroneous{};
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (static_cast<std::int32_t>(i) == error_output) continue;
+    erroneous |= lanes_differing_from(
+        got[i], want_values[static_cast<std::size_t>(k) * got.size() + i]);
+  }
+  return erroneous;
+}
+
+/// One injected-fault run on the scalar backend: the shared input stream
+/// through the faulty netlist, classified against the reference outputs
+/// `want_values`. Handles the duration model internally — the stuck-at
+/// site is armed exactly on the samples fault_active_at says so, and SEU
+/// jobs flip their register bit once at the hash-derived sample. The sim
+/// must arrive fault-free and is returned fault-free.
+fault::CampaignStats run_one_fault(NetlistSim& sim,
                                    const NetlistCampaignOptions& options,
                                    const FaultJob& job,
                                    std::uint64_t fault_index,
-                                   std::span<const Word> shared_stream) {
-  const Netlist& netlist = sim.netlist();
+                                   std::span<const Word> shared_stream,
+                                   std::span<const Word> want_values) {
   const std::int32_t error_output = sim.plan().error_output;
-  const std::size_t num_inputs = graph.inputs().size();
-  Xoshiro256 rng(fault_stream_seed(options.seed, fault_index));
+  const std::size_t num_inputs = sim.netlist().input_names.size();
+  const std::size_t num_outputs = sim.netlist().outputs.size();
   fault::CampaignStats stats;
   sim.reset();
   const bool seu = job.kind == FaultKind::kSeu;
   const int flip_at = seu ? seu_flip_sample(options, fault_index) : -1;
   bool armed = false;
-  std::vector<std::uint64_t> ref_state(graph.state_regs().size(), 0);
-  std::vector<Word> in(netlist.input_names.size(), 0);
-  std::vector<Word> out(netlist.outputs.size(), 0);
-  std::unordered_map<std::string, std::uint64_t> ref_in;
+  std::vector<Word> out(num_outputs, 0);
   for (int k = 0; k < options.samples_per_fault; ++k) {
     if (seu) {
       if (k == flip_at) {
@@ -130,23 +131,18 @@ fault::CampaignStats run_one_fault(const Dfg& graph, NetlistSim& sim,
     }
     // Input i of the netlist is input i of the graph (the netlist builder
     // preserves the graph's input order).
-    for (std::size_t i = 0; i < num_inputs; ++i) {
-      const Node& n = graph.node(graph.inputs()[i]);
-      const Word v =
-          shared_stream.empty()
-              ? rng.bounded(Word{1} << n.width)
-              : shared_stream[static_cast<std::size_t>(k) * num_inputs + i];
-      in[i] = v;
-      ref_in[n.name] = v;
-    }
-    const auto want = graph.eval(ref_in, ref_state);
-    sim.step_sample_indexed(in, out);
+    sim.step_sample_indexed(
+        shared_stream.subspan(static_cast<std::size_t>(k) * num_inputs,
+                              num_inputs),
+        out);
 
+    const std::span<const Word> want = want_values.subspan(
+        static_cast<std::size_t>(k) * num_outputs, num_outputs);
     bool erroneous = false;
-    for (std::size_t i = 0; i < netlist.outputs.size(); ++i) {
-      const std::string& name = netlist.outputs[i].name;
-      if (name == "error") continue;  // reference error flag is always 0
-      if (out[i] != want.outputs.at(name)) erroneous = true;
+    for (std::size_t i = 0; i < num_outputs; ++i) {
+      if (static_cast<std::int32_t>(i) != error_output && out[i] != want[i]) {
+        erroneous = true;
+      }
     }
     const bool detected =
         error_output >= 0 && out[static_cast<std::size_t>(error_output)] != 0;
@@ -157,22 +153,21 @@ fault::CampaignStats run_one_fault(const Dfg& graph, NetlistSim& sim,
 }
 
 /// One W-fault batch on the bit-plane backend over an arbitrary job-id
-/// list: lane L runs job ids[at + L] with that GLOBAL id's input stream —
-/// or, under shared streams, the one campaign-wide stream broadcast to
-/// every lane — checked against the plane-wise reference model. Stuck-at
-/// lanes are re-armed per sample from the duration model (pure hash of
-/// the global id, so the armed pattern is grouping-invariant) and SEU
-/// lanes flip their register bit at their hash-derived sample. Writes each
-/// lane's stats into out[at + L] — per-lane classification is exactly the
-/// scalar classify(), so the slot contents match run_one_fault bit for bit
-/// at every lane width and every id grouping.
+/// list: lane L runs job ids[at + L] on the shared stream broadcast to
+/// every lane, classified against the reference outputs `want_values`.
+/// Stuck-at lanes are re-armed per sample from the duration model (pure
+/// hash of the global id, so the armed pattern is grouping-invariant) and
+/// SEU lanes flip their register bit at their hash-derived sample. Writes
+/// each lane's stats into out[at + L] — per-lane classification is exactly
+/// the scalar classify(), so the slot contents match run_one_fault bit for
+/// bit at every lane width and every id grouping.
 template <typename P>
 void run_fault_batch(const Dfg& graph, NetlistBatchSimT<P>& sim,
-                     DfgBatchEvaluatorT<P>& ref,
+                     std::span<const Word> shared_stream,
+                     std::span<const Word> want_values,
                      std::span<const FaultJob> jobs,
                      std::span<const std::uint64_t> ids, std::size_t at,
                      const NetlistCampaignOptions& options,
-                     std::span<const Word> shared_stream,
                      std::span<fault::CampaignStats> out) {
   const Netlist& netlist = sim.netlist();
   const std::int32_t error_output = sim.plan().error_output;
@@ -181,13 +176,10 @@ void run_fault_batch(const Dfg& graph, NetlistBatchSimT<P>& sim,
       hw::PlaneTraits<P>::kLanes, ids.size() - at));
 
   sim.clear_lane_faults();
-  std::vector<Xoshiro256> rng;
-  if (shared_stream.empty()) rng.reserve(static_cast<std::size_t>(lanes));
   P stuck_lanes{};
   bool any_seu = false;
   for (int lane = 0; lane < lanes; ++lane) {
-    const std::uint64_t gi = ids[at + static_cast<std::size_t>(lane)];
-    const FaultJob& job = jobs[gi];
+    const FaultJob& job = jobs[ids[at + static_cast<std::size_t>(lane)]];
     if (job.kind == FaultKind::kSeu) {
       any_seu = true;  // flips are applied per sample below
     } else {
@@ -195,24 +187,11 @@ void run_fault_batch(const Dfg& graph, NetlistBatchSimT<P>& sim,
                          hw::plane_bit<P>(lane));
       stuck_lanes |= hw::plane_bit<P>(lane);
     }
-    if (shared_stream.empty()) {
-      rng.emplace_back(fault_stream_seed(options.seed, gi));
-    }
   }
   sim.reset();
 
-  std::vector<hw::BatchWordT<P>> in(netlist.input_names.size());
+  std::vector<hw::BatchWordT<P>> in(num_inputs);
   std::vector<hw::BatchWordT<P>> batch_out(netlist.outputs.size());
-  std::vector<hw::BatchWordT<P>> want(graph.outputs().size());
-  std::vector<hw::BatchWordT<P>> ref_state(graph.state_regs().size());
-  std::vector<Word> lane_vals(static_cast<std::size_t>(lanes), 0);
-
-  // Output i of the netlist is output i of the graph (the netlist builder
-  // preserves the graph's output order); sanity-checked by name below.
-  for (std::size_t i = 0; i < netlist.outputs.size(); ++i) {
-    SCK_EXPECTS(graph.node(graph.outputs()[i]).name ==
-                netlist.outputs[i].name);
-  }
 
   // add_lane_fault armed every installed lane, so the permanent path never
   // re-arms (zero extra work, byte-identical to the pre-duration engine).
@@ -244,27 +223,14 @@ void run_fault_batch(const Dfg& graph, NetlistBatchSimT<P>& sim,
       }
     }
     for (std::size_t i = 0; i < num_inputs; ++i) {
-      const Node& n = graph.node(graph.inputs()[i]);
-      if (shared_stream.empty()) {
-        for (int lane = 0; lane < lanes; ++lane) {
-          lane_vals[static_cast<std::size_t>(lane)] =
-              rng[static_cast<std::size_t>(lane)].bounded(Word{1} << n.width);
-        }
-        in[i] = hw::pack<P>(lane_vals, n.width);
-      } else {
-        in[i] = hw::broadcast_word<P>(
-            shared_stream[static_cast<std::size_t>(k) * num_inputs + i],
-            n.width);
-      }
+      in[i] = hw::broadcast_word<P>(
+          shared_stream[static_cast<std::size_t>(k) * num_inputs + i],
+          graph.node(graph.inputs()[i]).width);
     }
-    ref.eval(in, ref_state, want);
     sim.step_sample_batch(in, batch_out);
 
-    P erroneous{};
-    for (std::size_t i = 0; i < netlist.outputs.size(); ++i) {
-      if (static_cast<std::int32_t>(i) == error_output) continue;
-      erroneous |= hw::differing_lanes(batch_out[i], want[i]);
-    }
+    const P erroneous = erroneous_lanes<P>(batch_out, want_values, k,
+                                           error_output);
     const P detected =
         error_output >= 0
             ? batch_out[static_cast<std::size_t>(error_output)][0]
@@ -368,13 +334,8 @@ void run_incremental_batch(NetlistIncrementalSimT<P>& sim,
     }
     sim.replay_sample(trace, k, batch_out);
 
-    P erroneous{};
-    for (std::size_t i = 0; i < num_outputs; ++i) {
-      if (static_cast<std::int32_t>(i) == error_output) continue;
-      erroneous |= lanes_differing_from(
-          batch_out[i],
-          want_values[static_cast<std::size_t>(k) * num_outputs + i]);
-    }
+    const P erroneous = erroneous_lanes<P>(batch_out, want_values, k,
+                                           error_output);
     const P detected =
         error_output >= 0
             ? batch_out[static_cast<std::size_t>(error_output)][0]
@@ -522,20 +483,14 @@ std::string validate(const NetlistCampaignOptions& o) {
   }
   if (o.fault_stride < 1) return "fault_stride must be at least 1";
   if (o.threads < 0 || o.threads > (1 << 16)) {
-    return "threads must be in 0..2^16 (0 = all hardware threads)";
+    return "threads must be in 0..2^16";
   }
   if (o.lanes != 0 && !hw::lanes_supported(o.lanes)) {
     return "lanes must be 0 (auto), 64, 128, 256 or 512";
   }
   if (o.backend > NetlistBackend::kIncremental) return "unknown backend";
-  if (o.stream > StreamMode::kShared) return "unknown stream mode";
   if (o.duration > fault::FaultDuration::kIntermittent) {
     return "unknown fault duration";
-  }
-  if (o.backend == NetlistBackend::kIncremental &&
-      o.stream != StreamMode::kShared) {
-    return "the incremental backend replays one shared golden trace "
-           "(stream must be shared)";
   }
   if (o.fault_dropping && o.backend != NetlistBackend::kIncremental) {
     return "fault dropping is an incremental-backend feature";
@@ -553,12 +508,13 @@ struct CampaignSliceRunner::Impl {
   ExecPlan plan;  ///< plan.netlist points at this Impl's own netlist copy
   int lane_width = 0;
   std::vector<FaultJob> jobs;
-  std::vector<Word> shared_stream;  ///< kShared only
-  // Incremental backend only: cones + golden trace + the scalar reference
-  // outputs (compared bit by bit against the replayed planes).
+  std::vector<Word> shared_stream;  ///< samples x inputs
+  /// The reference model's outputs on the shared stream (samples x
+  /// outputs, width-truncated): every backend classifies against it.
+  std::vector<Word> want_values;
+  // Incremental backend only: cones + golden trace.
   std::unique_ptr<FaultCones> cones;
   GoldenTrace trace;
-  std::vector<Word> want_values;  ///< samples x outputs, width-truncated
   /// Per-sample outcome of a fault-free lane, classified once through the
   /// incremental path itself: what the prefix skip records for samples
   /// before a batch's earliest possible divergence.
@@ -589,46 +545,43 @@ CampaignSliceRunner::CampaignSliceRunner(const Dfg& graph,
         impl->lane_width = hw::resolve_lanes(options.lanes);
         impl->jobs = enumerate_fault_jobs(impl->netlist, options);
 
-        // The shared input stream (kShared only): one (seed, sample
-        // index)-keyed stream every fault replays.
-        if (options.stream == StreamMode::kShared) {
-          impl->shared_stream = make_shared_stream(impl->graph, options);
+        // The fault-free work happens ONCE per campaign: the (seed, sample
+        // index)-keyed stream every fault replays, and the reference
+        // model's outputs on it. Output i of the netlist is output i of
+        // the graph (the netlist builder preserves the graph's order).
+        impl->shared_stream = make_shared_stream(impl->graph, options);
+        const std::size_t num_inputs = impl->graph.inputs().size();
+        const std::size_t num_outputs = impl->netlist.outputs.size();
+        for (std::size_t i = 0; i < num_outputs; ++i) {
+          SCK_EXPECTS(impl->graph.node(impl->graph.outputs()[i]).name ==
+                      impl->netlist.outputs[i].name);
+        }
+        impl->want_values.resize(
+            static_cast<std::size_t>(options.samples_per_fault) * num_outputs);
+        std::vector<std::uint64_t> ref_state(impl->graph.state_regs().size(),
+                                             0);
+        std::unordered_map<std::string, std::uint64_t> ref_in;
+        for (int k = 0; k < options.samples_per_fault; ++k) {
+          for (std::size_t i = 0; i < num_inputs; ++i) {
+            const Node& n = impl->graph.node(impl->graph.inputs()[i]);
+            ref_in[n.name] =
+                impl->shared_stream[static_cast<std::size_t>(k) * num_inputs +
+                                    i];
+          }
+          const auto want = impl->graph.eval(ref_in, ref_state);
+          for (std::size_t i = 0; i < num_outputs; ++i) {
+            const Node& n = impl->graph.node(impl->graph.outputs()[i]);
+            impl->want_values[static_cast<std::size_t>(k) * num_outputs + i] =
+                trunc(want.outputs.at(n.name), n.width);
+          }
         }
 
         if (options.backend == NetlistBackend::kIncremental) {
-          // The fault-free work happens ONCE per campaign: the golden
-          // trace (scalar replay recording every wire) and the scalar Dfg
-          // reference outputs.
+          // The golden trace: one scalar replay recording every wire.
           impl->cones = std::make_unique<FaultCones>(
               impl->plan, /*include_seu=*/options.seu_faults);
           impl->trace = record_golden_trace(impl->plan, impl->shared_stream,
                                             options.samples_per_fault);
-          const std::size_t num_outputs = impl->netlist.outputs.size();
-          for (std::size_t i = 0; i < num_outputs; ++i) {
-            SCK_EXPECTS(impl->graph.node(impl->graph.outputs()[i]).name ==
-                        impl->netlist.outputs[i].name);
-          }
-          impl->want_values.resize(
-              static_cast<std::size_t>(options.samples_per_fault) *
-              num_outputs);
-          std::vector<std::uint64_t> ref_state(impl->graph.state_regs().size(),
-                                               0);
-          std::unordered_map<std::string, std::uint64_t> ref_in;
-          for (int k = 0; k < options.samples_per_fault; ++k) {
-            for (std::size_t i = 0; i < impl->graph.inputs().size(); ++i) {
-              const Node& n = impl->graph.node(impl->graph.inputs()[i]);
-              ref_in[n.name] =
-                  impl->shared_stream[static_cast<std::size_t>(k) *
-                                          impl->graph.inputs().size() +
-                                      i];
-            }
-            const auto want = impl->graph.eval(ref_in, ref_state);
-            for (std::size_t i = 0; i < num_outputs; ++i) {
-              const Node& n = impl->graph.node(impl->graph.outputs()[i]);
-              impl->want_values[static_cast<std::size_t>(k) * num_outputs +
-                                i] = trunc(want.outputs.at(n.name), n.width);
-            }
-          }
 
           // Classify one fault-free lane per sample, once, through the
           // incremental replay path itself (empty cone: pure splicing).
@@ -642,14 +595,8 @@ CampaignSliceRunner::CampaignSliceRunner(const Dfg& graph,
               static_cast<std::size_t>(options.samples_per_fault));
           for (int k = 0; k < options.samples_per_fault; ++k) {
             gsim.replay_sample(impl->trace, k, go);
-            hw::Plane64 erroneous{};
-            for (std::size_t i = 0; i < num_outputs; ++i) {
-              if (static_cast<std::int32_t>(i) == error_output) continue;
-              erroneous |= lanes_differing_from(
-                  go[i], impl->want_values[static_cast<std::size_t>(k) *
-                                               num_outputs +
-                                           i]);
-            }
+            const hw::Plane64 erroneous = erroneous_lanes<hw::Plane64>(
+                go, impl->want_values, k, error_output);
             const hw::Plane64 detected =
                 error_output >= 0
                     ? go[static_cast<std::size_t>(error_output)][0]
@@ -698,63 +645,38 @@ void CampaignSliceRunner::run_jobs(std::span<const std::uint64_t> ids,
     fault::parallel_shard(
         ids.size(), options.threads, [&im] { return NetlistSim(im.plan); },
         [&](NetlistSim& sim, std::size_t j) {
-          out[j] = run_one_fault(im.graph, sim, options, jobs[ids[j]],
-                                 ids[j], im.shared_stream);
+          out[j] = run_one_fault(sim, options, jobs[ids[j]], ids[j],
+                                 im.shared_stream, im.want_values);
         });
     return;
   }
 
   // Shard W-fault batches at this call's width (call_lanes). The lane width
   // only sizes the batches — per-job slots and the job-order reduction are
-  // width-invariant.
+  // width-invariant. Each worker owns a simulator over the shared plan.
   const int lanes = call_lanes(im.lane_width, ids.size(), options.threads);
-  if (options.backend == NetlistBackend::kBatched) {
-    // Each worker owns a batched simulator over the shared plan plus a
-    // copy of one compiled reference evaluator. The reference "error" flag
-    // is never read (it is 0 by construction on fault-free hardware), so
-    // the reference skips the check cone; the prototype is compiled (topo
-    // + DCE) once and copied per worker.
-    hw::dispatch_plane(lanes, [&]<typename P>(std::type_identity<P>) {
-      constexpr std::size_t kW = hw::PlaneTraits<P>::kLanes;
-      const std::size_t batches = (ids.size() + kW - 1) / kW;
-      const DfgBatchEvaluatorT<P> ref_proto(im.graph, "error");
-      struct BatchContext {
-        NetlistBatchSimT<P> sim;
-        DfgBatchEvaluatorT<P> ref;
-        BatchContext(const ExecPlan& p, const DfgBatchEvaluatorT<P>& proto)
-            : sim(p), ref(proto) {}
-        BatchContext(const BatchContext&) = delete;
-        BatchContext& operator=(const BatchContext&) = delete;
-      };
+  hw::dispatch_plane(lanes, [&]<typename P>(std::type_identity<P>) {
+    constexpr std::size_t kW = hw::PlaneTraits<P>::kLanes;
+    const std::size_t batches = (ids.size() + kW - 1) / kW;
+    if (options.backend == NetlistBackend::kBatched) {
       fault::parallel_shard(
           batches, options.threads,
-          [&im, &ref_proto] { return BatchContext(im.plan, ref_proto); },
-          [&](BatchContext& ctx, std::size_t b) {
-            run_fault_batch(im.graph, ctx.sim, ctx.ref, jobs, ids, b * kW,
-                            options, im.shared_stream, out);
+          [&im] { return NetlistBatchSimT<P>(im.plan); },
+          [&](NetlistBatchSimT<P>& sim, std::size_t b) {
+            run_fault_batch(im.graph, sim, im.shared_stream, im.want_values,
+                            jobs, ids, b * kW, options, out);
           });
-    });
-  } else {
-    hw::dispatch_plane(lanes, [&]<typename P>(std::type_identity<P>) {
-      constexpr std::size_t kW = hw::PlaneTraits<P>::kLanes;
-      const std::size_t batches = (ids.size() + kW - 1) / kW;
-      struct IncrementalContext {
-        NetlistIncrementalSimT<P> sim;
-        IncrementalContext(const ExecPlan& p, const FaultCones& c)
-            : sim(p, c) {}
-        IncrementalContext(const IncrementalContext&) = delete;
-        IncrementalContext& operator=(const IncrementalContext&) = delete;
-      };
+    } else {
       fault::parallel_shard(
           batches, options.threads,
-          [&im] { return IncrementalContext(im.plan, *im.cones); },
-          [&](IncrementalContext& ctx, std::size_t b) {
-            run_incremental_batch<P>(ctx.sim, im.trace, im.want_values,
+          [&im] { return NetlistIncrementalSimT<P>(im.plan, *im.cones); },
+          [&](NetlistIncrementalSimT<P>& sim, std::size_t b) {
+            run_incremental_batch<P>(sim, im.trace, im.want_values,
                                      im.golden_outcome, jobs, ids, b * kW,
                                      options, out);
           });
-    });
-  }
+    }
+  });
 }
 
 NetlistCampaignResult run_netlist_campaign(

@@ -6,31 +6,32 @@
 // can be used as an estimation". This module is that missing tool for our
 // substrate: it sweeps the complete stuck-at fault universe of every
 // functional unit of a generated netlist, drives each faulty configuration
-// with a reproducible input stream, compares the data outputs against the
-// fault-free reference model, and classifies every sample with the same
-// four-way taxonomy as the unit-level campaigns — yielding the *final
-// realization's* coverage, which the paper could only estimate.
+// with one reproducible input stream shared by every fault, compares the
+// data outputs against the fault-free reference model, and classifies
+// every sample with the same four-way taxonomy as the unit-level
+// campaigns — yielding the *final realization's* coverage, which the
+// paper could only estimate.
 //
-// Three execution backends drive the sweep (hls/netlist_exec.h):
+// The input stream is keyed by (seed, sample index), so every fault sees
+// the same stimuli and the Dfg reference outputs are computed ONCE per
+// campaign into one table that every backend classifies against. Three
+// execution backends drive the sweep (hls/netlist_exec.h):
 //   kScalar       the compiled scalar interpreter, one fault at a time;
 //   kBatched      the W-lane bit-plane engine — W faults per batch (lane
-//                 = fault, via per-lane LaneFaultSetT hooks), checked
-//                 against the plane-wise Dfg reference model
-//                 (DfgBatchEvaluatorT);
-//   kIncremental  golden-trace fault-cone replay (shared streams only):
-//                 the fault-free execution and the Dfg reference are
-//                 computed ONCE per campaign, and each batch replays only
-//                 the union fan-out cone of its ≤W faulted FUs, splicing
-//                 everything else from the golden trace.
+//                 = fault, via per-lane LaneFaultSetT hooks);
+//   kIncremental  golden-trace fault-cone replay, the default: the
+//                 fault-free execution is also recorded ONCE per campaign,
+//                 and each batch replays only the union fan-out cone of
+//                 its ≤W faulted FUs, splicing everything else from the
+//                 golden trace.
 // The maximum lane width W is resolved once per campaign (options.lanes,
 // the SCK_LANES env var, or the CPU default — see hw::resolve_lanes); a
 // call with fewer than threads x W jobs runs on narrower planes, halving
 // down to 64 lanes until every thread has a batch. The width only changes
 // how faults are grouped into batches: per-fault stats land in
 // job-indexed slots reduced in fault-index order, so the result is
-// bit-identical for ANY backend, lane width and thread count under the
-// same StreamMode (tests/test_netlist_batch.cpp,
-// tests/test_netlist_incremental.cpp and
+// bit-identical for ANY backend, lane width and thread count
+// (tests/test_netlist_batch.cpp, tests/test_netlist_incremental.cpp and
 // tests/test_backend_differential.cpp prove it).
 // All backends shard the fault universe through fault/parallel.h over ONE
 // compiled ExecPlan.
@@ -76,43 +77,33 @@ struct NetlistCampaignResult {
                          const NetlistCampaignResult&) = default;
 };
 
-/// Execution backend selection for the sweep (results are identical under
-/// the same StreamMode; the batched engine packs W faults per evaluation,
-/// one per plane lane, and is the default; the incremental engine requires
-/// kShared streams).
+/// Execution backend selection for the sweep. Results are identical on
+/// every backend; the plane backends pack W faults per evaluation, one per
+/// plane lane, and the incremental one (the default) also replays only
+/// each batch's fault cones.
 enum class NetlistBackend : unsigned char { kScalar, kBatched, kIncremental };
 
-/// Input-stream semantics of the sweep.
-enum class StreamMode : unsigned char {
-  /// Streams keyed by (seed, fault index): every fault sees its own
-  /// stimuli. Legacy default at this level — every pre-existing campaign
-  /// result (and the report_version-1 explorer reports built on them) is
-  /// bit-compatible with this mode. The co-design explorer's coverage leg
-  /// now defaults to kShared + kIncremental (report_version 2; see
-  /// codesign/explorer.h — ExplorerOptions::legacy_streams opts back).
-  kPerFault,
-  /// Streams keyed by (seed, sample index): every fault sees IDENTICAL
-  /// stimuli, so the fault-free execution collapses to one golden trace
-  /// per campaign. Required by kIncremental; supported by all backends and
-  /// bit-identical across them.
-  kShared,
-};
+/// Input-stream semantics of the sweep. There is one: streams keyed by
+/// (seed, sample index), so every fault sees IDENTICAL stimuli.
+enum class StreamMode : unsigned char { kShared };
 
 struct NetlistCampaignOptions {
   int samples_per_fault = 32;  ///< stream length per injected fault
   std::uint64_t seed = 0x2005;
   int fault_stride = 1;  ///< evaluate every k-th fault of each unit
-  /// Worker threads for the fault sweep (0 = all hardware threads). Input
-  /// streams depend only on (seed, fault index) — or (seed, sample index)
-  /// under kShared — so the result is bit-identical for any thread count.
+  /// Worker threads for the fault sweep (0 = all hardware threads). The
+  /// input stream depends only on (seed, sample index), so the result is
+  /// bit-identical for any thread count.
   int threads = 1;
   /// Bit-plane lane width for the batched/incremental backends: one of
   /// {64, 128, 256, 512}, or 0 to resolve via the SCK_LANES env var and
   /// then the CPU default (hw::resolve_lanes). Results are bit-identical
   /// at every width; wider planes only batch more faults per evaluation.
   int lanes = 0;
-  NetlistBackend backend = NetlistBackend::kBatched;
-  StreamMode stream = StreamMode::kPerFault;
+  NetlistBackend backend = NetlistBackend::kIncremental;
+  /// Read by nothing: the stream is always shared. Kept only so existing
+  /// source that assigns it still compiles.
+  StreamMode stream = StreamMode::kShared;
   /// Retire a lane at its first detected sample (kIncremental only): the
   /// remaining samples of that fault are neither simulated nor recorded,
   /// so aggregate totals shrink. The detection set is preserved — a fault
@@ -146,8 +137,8 @@ struct NetlistCampaignOptions {
 
 /// Why `options` cannot run, or "" when they can. The one rule set that
 /// CampaignSliceRunner asserts, the wire decoder rejects on and the CLIs
-/// report: ranges, enum values and the cross-field contracts (incremental
-/// needs kShared, fault dropping needs incremental).
+/// report: ranges, enum values and the cross-field contract (fault
+/// dropping needs the incremental backend).
 [[nodiscard]] std::string validate(const NetlistCampaignOptions& options);
 
 /// Stuck-at activity of global fault `fault_index` at sample `sample`
@@ -182,10 +173,9 @@ enum class FaultKind : unsigned char {
 /// the campaign's deterministic reduction order (unit-major, site order
 /// within a unit, stride applied per unit; then — when options.seu_faults —
 /// register-major, bit order within a register, stride applied per
-/// register), and a job's position in the list keys its per-fault input
-/// stream under StreamMode::kPerFault. Everything that executes campaign
-/// slices — single-host or a remote worker — must agree on this list bit
-/// for bit.
+/// register), and a job's position in the list keys its duration-model
+/// and SEU hashes. Everything that executes campaign slices — single-host
+/// or a remote worker — must agree on this list bit for bit.
 struct FaultJob {
   std::int32_t fu = 0;
   hw::FaultSite site;
@@ -211,10 +201,11 @@ struct FaultJob {
 ///
 /// Slice semantics: run_slice(base, count, out) evaluates jobs
 /// [base, base + count) and writes job (base + i)'s stats into out[i].
-/// Per-job slots depend only on the job's GLOBAL index (stream seeds) and
-/// the campaign options — never on the slice boundaries, the lane width,
-/// or the thread count — so any partition of [0, jobs().size()) into
-/// slices reproduces the single-host per-job vector bit for bit
+/// Per-job slots depend only on the job's GLOBAL index (duration and SEU
+/// hashes) and the campaign options — never on the slice boundaries, the
+/// lane width, or the thread count — so any partition of
+/// [0, jobs().size()) into slices reproduces the single-host per-job
+/// vector bit for bit
 /// (tests/test_service.cpp holds this at several slicings).
 class CampaignSliceRunner {
  public:

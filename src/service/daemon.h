@@ -7,11 +7,12 @@
 // and result arrival order.
 //
 // Why that holds, in one paragraph: a job's per-fault stats depend only on
-// its GLOBAL index (stream seeds), the campaign options and the netlist —
-// never on how jobs are grouped into batches (the lane-width invariance
-// suites prove grouping-independence) — and the daemon writes each shard's
-// stats into the job-indexed slots of one campaign-wide vector, then runs
-// the exact same reduce_campaign_slices the single-host path runs. Shard
+// its GLOBAL index (duration and SEU hashes), the campaign options and the
+// netlist — never on how jobs are grouped into batches (the lane-width
+// invariance suites prove grouping-independence) — and the daemon writes
+// each shard's stats into the job-indexed slots of one campaign-wide
+// vector, then runs the exact same reduce_campaign_slices the single-host
+// path runs. Shard
 // boundaries are multiples of 512 (the widest plane), so they are also
 // batch boundaries on every worker regardless of the width IT resolved.
 //

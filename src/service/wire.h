@@ -49,7 +49,8 @@ inline constexpr std::uint64_t kWireMagic = 0x0045524957'4B4353ULL;
 /// v3: the duration/SEU options and per-job kind/seu_bit.
 /// v4: the canonical codec — options are the result key followed by the
 /// execution settings, and UnitCoverage::fu_index is an i64.
-inline constexpr std::uint32_t kWireProtocolVersion = 4;
+/// v5: the options drop the stream mode (every stream is shared).
+inline constexpr std::uint32_t kWireProtocolVersion = 5;
 
 /// Hard ceiling on one frame's payload. A length prefix beyond this is
 /// rejected from the header alone — a corrupted (or hostile) length can

@@ -6,7 +6,7 @@
 // shards of that campaign it executes.
 //
 // Determinism contract: the shard carries GLOBAL job indices (base), and
-// run_slice derives every stream seed from them — so the worker's local
+// run_slice derives every per-job hash from them — so the worker's local
 // lane width and thread count are free telemetry knobs, not result knobs.
 #pragma once
 

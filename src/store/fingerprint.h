@@ -37,8 +37,9 @@ namespace sck::store {
 /// Hashed-input generation. Bump when campaign_fingerprint starts hashing
 /// different bytes: every entry written under the old generation then
 /// misses cleanly. v3: the canonical codec encoding of the graph, netlist,
-/// plan, universe and result key.
-inline constexpr std::uint64_t kFingerprintVersion = 3;
+/// plan, universe and result key. v4: the result key drops the stream
+/// mode (every stream is shared).
+inline constexpr std::uint64_t kFingerprintVersion = 4;
 
 /// 128-bit content address of one campaign.
 struct Fingerprint {

@@ -288,7 +288,6 @@ void expect_campaigns_identical(const Dfg& g, const Netlist& nl, int samples,
   NetlistCampaignOptions opt;
   opt.samples_per_fault = samples;
   opt.seed = seed;
-  opt.stream = StreamMode::kShared;
   expect_campaigns_identical_for(opt, g, nl);
 }
 
@@ -303,7 +302,6 @@ void expect_duration_campaigns_identical(Xoshiro256& rng, const Dfg& g,
   NetlistCampaignOptions opt;
   opt.samples_per_fault = samples;
   opt.seed = seed;
-  opt.stream = StreamMode::kShared;
   switch (rng.bounded(3)) {
     case 0:
       opt.duration = fault::FaultDuration::kPermanent;

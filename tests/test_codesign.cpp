@@ -5,8 +5,9 @@
 
 #include <unordered_map>
 
-#include "codesign/flow.h"
+#include "codesign/explorer.h"
 #include "common/rng.h"
+#include "hls/builder.h"
 #include "hls/expand_sck.h"
 #include "hls/netlist_sim.h"
 
@@ -15,25 +16,53 @@ namespace {
 
 const hls::FirSpec kSpec{{3, -5, 7, -5, 3}, 16};
 
+KernelRegistry fir_registry() {
+  KernelRegistry registry;
+  registry.add(make_fir_kernel(kSpec.coeffs));
+  return registry;
+}
+
+ExplorerOptions hw_only(std::size_t sw_samples = 0) {
+  ExplorerOptions opt;
+  opt.coverage = false;
+  opt.sw_samples = sw_samples;
+  return opt;
+}
+
+/// The Table 3 designs of the paper's FIR, synthesized by the explorer.
+class Table3Designs {
+ public:
+  const SynthesizedPoint& get(Variant v, bool min_area) {
+    return explorer_.synthesize(DesignPoint{"fir", v, min_area, kSpec.width});
+  }
+
+ private:
+  const KernelRegistry registry_ = fir_registry();
+  Explorer explorer_{registry_, hw_only()};
+};
+
 TEST(CodesignFlow, ProducesAllSixHardwareDesigns) {
-  const FlowReport flow = run_fir_flow(kSpec, /*sw_samples=*/100'000);
-  ASSERT_EQ(flow.hardware.size(), 6u);
-  ASSERT_EQ(flow.software.size(), 3u);
-  for (const HwDesign& d : flow.hardware) {
-    EXPECT_GT(d.report.slices, 0.0);
-    EXPECT_GT(d.report.fmax_mhz, 0.0);
-    EXPECT_GT(d.report.steps, 0);
-    EXPECT_FALSE(d.netlist.micro.empty());
+  const KernelRegistry registry = fir_registry();
+  Explorer explorer(registry, hw_only(/*sw_samples=*/100'000));
+  DesignGrid grid;
+  grid.kernels = {"fir"};
+  grid.widths = {kSpec.width};
+  const ExplorationReport report = explorer.run(grid.points());
+  ASSERT_EQ(report.points.size(), 6u);
+  ASSERT_EQ(report.software.size(), 1u);
+  ASSERT_EQ(report.software[0].reports.size(), 3u);
+  for (const PointResult& r : report.points) {
+    EXPECT_GT(r.hw.slices, 0.0);
+    EXPECT_GT(r.hw.fmax_mhz, 0.0);
+    EXPECT_GT(r.hw.steps, 0);
+    EXPECT_FALSE(explorer.synthesize(r.point).netlist.micro.empty());
   }
 }
 
 TEST(CodesignFlow, Table3AreaOrderingHolds) {
-  const FlowReport flow = run_fir_flow(kSpec, 100'000);
+  Table3Designs designs;
   const auto slices = [&](Variant v, bool min_area) {
-    for (const HwDesign& d : flow.hardware) {
-      if (d.variant == v && d.min_area == min_area) return d.report.slices;
-    }
-    return -1.0;
+    return designs.get(v, min_area).report.slices;
   };
   // Min-area rows: plain < embedded << class-based (paper: 412/634/1926).
   EXPECT_LT(slices(Variant::kPlain, true), slices(Variant::kEmbedded, true));
@@ -45,12 +74,9 @@ TEST(CodesignFlow, Table3AreaOrderingHolds) {
 }
 
 TEST(CodesignFlow, Table3LatencyShapeHolds) {
-  const FlowReport flow = run_fir_flow(kSpec, 100'000);
+  Table3Designs designs;
   const auto report = [&](Variant v, bool min_area) {
-    for (const HwDesign& d : flow.hardware) {
-      if (d.variant == v && d.min_area == min_area) return d.report;
-    }
-    return hls::HwReport{};
+    return designs.get(v, min_area).report;
   };
   // The paper's 5-tap FIR: min-area plain = 2+7n, with-SCK data ready 2+10n.
   EXPECT_EQ(report(Variant::kPlain, true).steps, 7);
@@ -93,17 +119,20 @@ TEST(CodesignFlow, SoftwareMeasurementsHavePaperShape) {
 }
 
 TEST(CodesignFlow, EverySynthesizedNetlistSimulatesCorrectly) {
-  const FlowReport flow = run_fir_flow(kSpec, 100'000);
-  for (const HwDesign& d : flow.hardware) {
+  Table3Designs designs;
+  DesignGrid grid;
+  grid.kernels = {"fir"};
+  grid.widths = {kSpec.width};
+  for (const DesignPoint& p : grid.points()) {
     // Rebuild the matching reference graph.
     hls::Dfg graph = hls::build_fir(kSpec);
-    if (d.variant != Variant::kPlain) {
+    if (p.variant != Variant::kPlain) {
       hls::CedOptions opt;
-      opt.style = d.variant == Variant::kSck ? hls::CedStyle::kClassBased
+      opt.style = p.variant == Variant::kSck ? hls::CedStyle::kClassBased
                                              : hls::CedStyle::kEmbedded;
       graph = hls::insert_ced(graph, opt);
     }
-    hls::NetlistSim sim(d.netlist);
+    hls::NetlistSim sim(designs.get(p.variant, p.min_area).netlist);
     std::vector<std::uint64_t> state(graph.state_regs().size(), 0);
     Xoshiro256 rng(0xC0DE51);
     for (int k = 0; k < 50; ++k) {
@@ -112,9 +141,7 @@ TEST(CodesignFlow, EverySynthesizedNetlistSimulatesCorrectly) {
       const auto want = graph.eval(in, state);
       const auto got = sim.step_sample(in);
       for (const auto& [name, value] : want.outputs) {
-        ASSERT_EQ(got.at(name), value)
-            << to_string(d.variant) << (d.min_area ? " min-area" : " min-lat")
-            << " output " << name;
+        ASSERT_EQ(got.at(name), value) << to_string(p) << " output " << name;
       }
     }
   }

@@ -104,56 +104,6 @@ TEST(Dfg, TopoOrderCacheInvalidatesOnMutation) {
   g.validate();
 }
 
-TEST(DfgBatch, EvaluatorMatchesScalarEvalLaneForLane) {
-  // The plane-wise evaluator must agree with eval() on every lane of a
-  // per-lane input stream, including the sequential state.
-  const Dfg g = build_iir_biquad(IirBiquadSpec{3, -2, 1, 1, -1, 8});
-  constexpr int kSamples = 12;
-
-  DfgBatchEvaluator batch(g);
-  std::vector<hw::BatchWord> reg_state(g.state_regs().size());
-  std::vector<hw::BatchWord> in(g.inputs().size());
-  std::vector<hw::BatchWord> out(g.outputs().size());
-
-  std::vector<std::vector<std::uint64_t>> scalar_state(
-      hw::kLanes, std::vector<std::uint64_t>(g.state_regs().size(), 0));
-  std::vector<Xoshiro256> rng;
-  for (int lane = 0; lane < hw::kLanes; ++lane) {
-    rng.emplace_back(0xD1CE + static_cast<std::uint64_t>(lane));
-  }
-
-  std::vector<Word> lane_vals(hw::kLanes);
-  for (int k = 0; k < kSamples; ++k) {
-    std::vector<std::vector<Word>> sample_in(g.inputs().size());
-    for (std::size_t i = 0; i < g.inputs().size(); ++i) {
-      const int w = g.node(g.inputs()[i]).width;
-      for (int lane = 0; lane < hw::kLanes; ++lane) {
-        lane_vals[static_cast<std::size_t>(lane)] =
-            rng[static_cast<std::size_t>(lane)].bounded(Word{1} << w);
-      }
-      sample_in[i] = lane_vals;
-      in[i] = hw::pack(lane_vals, w);
-    }
-    batch.eval(in, reg_state, out);
-
-    for (int lane = 0; lane < hw::kLanes; ++lane) {
-      InputMap scalar_in;
-      for (std::size_t i = 0; i < g.inputs().size(); ++i) {
-        scalar_in[g.node(g.inputs()[i]).name] =
-            sample_in[i][static_cast<std::size_t>(lane)];
-      }
-      const auto want =
-          g.eval(scalar_in, scalar_state[static_cast<std::size_t>(lane)]);
-      for (std::size_t o = 0; o < g.outputs().size(); ++o) {
-        const Node& n = g.node(g.outputs()[o]);
-        ASSERT_EQ(hw::lane_value(out[o], lane, n.width),
-                  want.outputs.at(n.name))
-            << "lane " << lane << " sample " << k << " output " << n.name;
-      }
-    }
-  }
-}
-
 TEST(BuildFir, StructureMatchesSpec) {
   const FirSpec spec{{1, 2, 3, 4, 5, 6, 7, 8}, 16};
   const Dfg g = build_fir(spec);

@@ -1,6 +1,6 @@
 // Tests for the kernel-generic co-design explorer:
-//  (a) the FIR flow wrappers reproduce the pre-refactor FlowReport /
-//      CoverageReport bit for bit (held against an inline replica of the
+//  (a) the explorer reproduces the pre-refactor FIR-only flow's designs
+//      and coverage bit for bit (held against an inline replica of the
 //      legacy FIR-only synthesis path),
 //  (b) Pareto-frontier extraction on hand-built point sets,
 //  (c) explorer results are invariant under the campaign thread count and
@@ -13,8 +13,9 @@
 #include <vector>
 
 #include "codesign/explorer.h"
-#include "codesign/flow.h"
+#include "common/codec.h"
 #include "hls/bind.h"
+#include "hls/builder.h"
 #include "hls/expand_sck.h"
 #include "hls/schedule.h"
 
@@ -24,8 +25,13 @@ namespace {
 const hls::FirSpec kSpec{{3, -5, 7, -5, 3}, 8};
 
 // ---- legacy replica --------------------------------------------------------
-// The pre-refactor FIR-only flow (codesign/flow.cpp before the explorer
-// rebase), kept verbatim as the bit-identity reference for the wrappers.
+// The pre-refactor FIR-only flow (before the explorer rebase), kept
+// verbatim as the bit-identity reference for the explorer.
+
+struct HwDesign {
+  hls::Netlist netlist;
+  hls::HwReport report;
+};
 
 hls::Dfg legacy_variant_graph(const hls::FirSpec& spec, Variant variant) {
   const hls::Dfg plain = hls::build_fir(spec);
@@ -36,8 +42,8 @@ hls::Dfg legacy_variant_graph(const hls::FirSpec& spec, Variant variant) {
   return hls::insert_ced(plain, opt);
 }
 
-HwDesign legacy_synthesize_fir(const hls::FirSpec& spec, Variant variant,
-                               bool min_area) {
+HwDesign legacy_fir_design(const hls::FirSpec& spec, Variant variant,
+                           bool min_area) {
   const hls::Dfg g = legacy_variant_graph(spec, variant);
   const hls::ResourceConstraints rc =
       min_area ? hls::ResourceConstraints::min_area()
@@ -49,8 +55,6 @@ HwDesign legacy_synthesize_fir(const hls::FirSpec& spec, Variant variant,
   hls::validate_binding(g, s, b);
 
   HwDesign design;
-  design.variant = variant;
-  design.min_area = min_area;
   std::string name = "fir";
   if (variant == Variant::kSck) name += "_sck";
   if (variant == Variant::kEmbedded) name += "_embedded";
@@ -102,111 +106,97 @@ hls::NetlistCampaignOptions small_campaign() {
   return opt;
 }
 
-// ---- (a) wrapper bit-identity ---------------------------------------------
+// ---- (a) legacy-flow bit-identity ------------------------------------------
+
+/// The FIR's six Table 3 points (three variants x two objectives).
+std::vector<DesignPoint> fir_points() {
+  DesignGrid grid;
+  grid.kernels = {"fir"};
+  grid.widths = {kSpec.width};
+  return grid.points();
+}
+
+KernelRegistry fir_registry() {
+  KernelRegistry reg;
+  reg.add(make_fir_kernel(kSpec.coeffs));
+  return reg;
+}
 
 TEST(ExplorerWrappers, FirFlowReproducesLegacyFlowBitForBit) {
-  const FlowReport flow = run_fir_flow(kSpec, /*sw_samples=*/50'000);
-  ASSERT_EQ(flow.hardware.size(), 6u);
+  const KernelRegistry reg = fir_registry();
+  ExplorerOptions eopt;
+  eopt.coverage = false;
+  Explorer explorer(reg, eopt);
+  const ExplorationReport report = explorer.run(fir_points());
+  ASSERT_EQ(report.points.size(), 6u);
   std::size_t i = 0;
   for (const Variant v : kAllVariants) {
     for (const bool min_area : {true, false}) {
-      const HwDesign legacy = legacy_synthesize_fir(kSpec, v, min_area);
-      EXPECT_EQ(flow.hardware[i].variant, v);
-      EXPECT_EQ(flow.hardware[i].min_area, min_area);
-      expect_netlist_identical(flow.hardware[i].netlist, legacy.netlist);
-      expect_report_identical(flow.hardware[i].report, legacy.report);
+      const HwDesign legacy = legacy_fir_design(kSpec, v, min_area);
+      const PointResult& r = report.points[i];
+      EXPECT_EQ(r.point.variant, v);
+      EXPECT_EQ(r.point.min_area, min_area);
+      expect_netlist_identical(explorer.synthesize(r.point).netlist,
+                               legacy.netlist);
+      expect_report_identical(r.hw, legacy.report);
       ++i;
     }
   }
 }
 
 TEST(ExplorerWrappers, SynthesizeFirMatchesLegacyPath) {
-  const HwDesign got = synthesize_fir(kSpec, Variant::kEmbedded, false);
+  const KernelRegistry reg = fir_registry();
+  ExplorerOptions eopt;
+  eopt.coverage = false;
+  Explorer explorer(reg, eopt);
+  const SynthesizedPoint& got = explorer.synthesize(
+      DesignPoint{"fir", Variant::kEmbedded, false, kSpec.width});
   const HwDesign want =
-      legacy_synthesize_fir(kSpec, Variant::kEmbedded, false);
+      legacy_fir_design(kSpec, Variant::kEmbedded, false);
   expect_netlist_identical(got.netlist, want.netlist);
   expect_report_identical(got.report, want.report);
 }
 
 TEST(ExplorerWrappers, CoverageReproducesLegacyCampaignBitForBit) {
-  const FlowReport flow = run_fir_flow(kSpec, /*sw_samples=*/10'000);
   const hls::NetlistCampaignOptions opt = small_campaign();
-  const std::vector<CoverageReport> got =
-      evaluate_flow_coverage(kSpec, flow, opt);
-  ASSERT_EQ(got.size(), flow.hardware.size());
+  const KernelRegistry reg = fir_registry();
+  ExplorerOptions eopt;
+  eopt.campaign = opt;
+  Explorer explorer(reg, eopt);
+  const ExplorationReport report = explorer.run(fir_points());
+  ASSERT_EQ(report.points.size(), 6u);
+  EXPECT_EQ(report.report_version, kSharedStreamReportVersion);
   // Legacy loop: per-design campaign against a per-variant rebuilt graph.
-  for (std::size_t i = 0; i < flow.hardware.size(); ++i) {
-    const HwDesign& design = flow.hardware[i];
-    const hls::Dfg graph = legacy_variant_graph(kSpec, design.variant);
+  for (const PointResult& r : report.points) {
+    const HwDesign design =
+        legacy_fir_design(kSpec, r.point.variant, r.point.min_area);
+    const hls::Dfg graph = legacy_variant_graph(kSpec, r.point.variant);
     const hls::NetlistCampaignResult want =
         hls::run_netlist_campaign(graph, design.netlist, opt);
-    EXPECT_EQ(got[i].variant, design.variant);
-    EXPECT_EQ(got[i].min_area, design.min_area);
-    EXPECT_EQ(got[i].faults, want.fault_universe_size);
-    expect_stats_identical(got[i].stats, want.aggregate);
+    EXPECT_EQ(r.faults, want.fault_universe_size) << to_string(r.point);
+    expect_stats_identical(r.stats, want.aggregate);
   }
 }
 
-TEST(ExplorerWrappers, LegacyStreamsReproducesPreBumpReportsBitForBit) {
-  // The report_version-1 opt-out: with legacy_streams the explorer runs
-  // the campaign options verbatim (per-fault streams, batched backend by
-  // default), reproducing the pre-bump (PR 3/4) reports bit for bit — the
-  // wrappers, whose coverage leg never changed, are that legacy replica.
-  const hls::NetlistCampaignOptions opt = small_campaign();
-  const FlowReport flow = run_fir_flow(kSpec, /*sw_samples=*/10'000);
-  EXPECT_EQ(flow.report_version, kLegacyReportVersion);
-  const std::vector<CoverageReport> cov =
-      evaluate_flow_coverage(kSpec, flow, opt);
-
-  KernelRegistry reg;
-  reg.add(make_fir_kernel(kSpec.coeffs));
-  ExplorerOptions eopt;
-  eopt.campaign = opt;
-  eopt.legacy_streams = true;
-  Explorer explorer(reg, eopt);
-  DesignGrid grid;
-  grid.kernels = {"fir"};
-  grid.widths = {kSpec.width};
-  const ExplorationReport report = explorer.run(grid.points());
-  EXPECT_EQ(report.report_version, kLegacyReportVersion);
-
-  ASSERT_EQ(report.points.size(), flow.hardware.size());
-  for (std::size_t i = 0; i < report.points.size(); ++i) {
-    EXPECT_EQ(report.points[i].point.variant, flow.hardware[i].variant);
-    EXPECT_EQ(report.points[i].point.min_area, flow.hardware[i].min_area);
-    expect_report_identical(report.points[i].hw, flow.hardware[i].report);
-    EXPECT_EQ(report.points[i].faults, cov[i].faults);
-    expect_stats_identical(report.points[i].stats, cov[i].stats);
-  }
-}
-
-TEST(ExplorerWrappers, DefaultCoverageLegIsSharedStreamIncremental) {
-  // The report_version-2 default: the explorer forces StreamMode::kShared
-  // + NetlistBackend::kIncremental regardless of what the campaign struct
-  // says, and the per-point stats match a manual shared-stream incremental
-  // campaign bit for bit.
+TEST(ExplorerWrappers, CoverageLegRunsCampaignOptionsAsGiven) {
+  // The explorer changes no campaign field but the thread budget: a
+  // scalar-backend campaign stays on the scalar backend, and the per-point
+  // stats match a manual campaign with the same options bit for bit.
   hls::NetlistCampaignOptions opt = small_campaign();
-  opt.backend = hls::NetlistBackend::kScalar;  // deliberately overridden
+  opt.backend = hls::NetlistBackend::kScalar;
 
-  KernelRegistry reg;
-  reg.add(make_fir_kernel(kSpec.coeffs));
+  const KernelRegistry reg = fir_registry();
   ExplorerOptions eopt;
   eopt.campaign = opt;
   Explorer explorer(reg, eopt);
-  DesignGrid grid;
-  grid.kernels = {"fir"};
-  grid.widths = {kSpec.width};
-  const ExplorationReport report = explorer.run(grid.points());
+  const ExplorationReport report = explorer.run(fir_points());
   EXPECT_EQ(report.report_version, kSharedStreamReportVersion);
 
-  hls::NetlistCampaignOptions manual = opt;
-  manual.stream = hls::StreamMode::kShared;
-  manual.backend = hls::NetlistBackend::kIncremental;
   ASSERT_EQ(report.points.size(), 6u);
   for (const PointResult& r : report.points) {
     const hls::NetlistCampaignResult want = hls::run_netlist_campaign(
         explorer.reference_graph(r.point), explorer.synthesize(r.point).netlist,
-        manual);
+        opt);
     EXPECT_EQ(r.faults, want.fault_universe_size) << to_string(r.point);
     expect_stats_identical(r.stats, want.aggregate);
   }
@@ -436,7 +426,7 @@ TEST(Explorer, FaultDroppingCoverageOnlySweep) {
   Explorer full(registry, opt);
   const ExplorationReport full_r = full.run(grid.points());
 
-  opt.fault_dropping = true;
+  opt.campaign.fault_dropping = true;
   Explorer drop(registry, opt);
   const ExplorationReport drop_r = drop.run(grid.points());
 
@@ -449,6 +439,31 @@ TEST(Explorer, FaultDroppingCoverageOnlySweep) {
     EXPECT_EQ(drop_r.points[i].stats.detections() > 0,
               full_r.points[i].stats.detections() > 0);
   }
+}
+
+TEST(Explorer, BuiltinGridReportPinned) {
+  // Every built-in kernel x variant x objective at widths 8 and 12 (72
+  // points). The pin was captured before the per-fault stream mode was
+  // removed: each point's fault count and stats, plus the frontier, must
+  // keep their exact bytes.
+  const KernelRegistry registry = builtin_registry();
+  ExplorerOptions opt;
+  opt.campaign.samples_per_fault = 4;
+  opt.campaign.seed = 0x5EED17;
+  opt.point_threads = 2;
+  Explorer explorer(registry, opt);
+  DesignGrid grid;
+  grid.kernels = registry.names();
+  grid.widths = {8, 12};
+  const ExplorationReport report = explorer.run(grid.points());
+  ASSERT_EQ(report.points.size(), 72u);
+  codec::Writer w;
+  for (const PointResult& r : report.points) {
+    w.u64(r.faults);
+    codec::put_stats(w, r.stats);
+  }
+  for (const std::size_t i : report.frontier) w.u64(i);
+  EXPECT_EQ(codec::fnv1a(w.view()), 0xECDEA5E8DEF95325ULL);
 }
 
 TEST(Explorer, SynthesisCacheReturnsSameDesign) {

@@ -3,8 +3,8 @@
 // lane-for-lane identical to the scalar interpreter across the FULL FU
 // fault universe of the synthesized netlists, and the batched campaign
 // driver must produce bit-identical results to the scalar one at any
-// thread count. These tests are the contract that lets every campaign
-// default to the batched engine.
+// thread count. These tests are the contract that lets campaigns run on
+// the bit-plane engines.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,7 +25,8 @@
 namespace sck::hls {
 namespace {
 
-/// Mirrors the campaign's per-fault stream seeding (fault/netlist drivers).
+/// Per-lane stream seeds: every lane of the exactness check below gets its
+/// own stimuli, so a lane mix-up cannot hide behind identical inputs.
 std::uint64_t stream_seed(std::uint64_t seed, std::uint64_t fault_index) {
   return seed ^ ((fault_index + 1) * 0x9E3779B97F4A7C15ULL);
 }

@@ -28,7 +28,7 @@
 #include <utility>
 #include <vector>
 
-#include "codesign/flow.h"
+#include "codesign/explorer.h"
 #include "common/rng.h"
 #include "fault/duration.h"
 #include "fault/stats.h"
@@ -49,13 +49,15 @@ struct FlagshipDesign {
   Netlist netlist;
 
   FlagshipDesign() {
-    const FirSpec spec{{3, -5, 7, -5, 3}, 8};
-    CedOptions ced_opt;
-    ced_opt.style = CedStyle::kClassBased;
-    graph = insert_ced(build_fir(spec), ced_opt);
-    netlist = codesign::synthesize_fir(spec, codesign::Variant::kSck,
-                                       /*min_area=*/true)
-                  .netlist;
+    codesign::KernelRegistry registry;
+    registry.add(codesign::make_fir_kernel({3, -5, 7, -5, 3}));
+    codesign::ExplorerOptions hw_only;
+    hw_only.coverage = false;
+    codesign::Explorer explorer(registry, hw_only);
+    const codesign::DesignPoint point{"fir", codesign::Variant::kSck,
+                                      /*min_area=*/true, 8};
+    graph = explorer.reference_graph(point);
+    netlist = explorer.synthesize(point).netlist;
   }
 };
 
@@ -77,7 +79,6 @@ struct SmallDesign {
   NetlistCampaignOptions opt;
   opt.samples_per_fault = samples;
   opt.seed = seed;
-  opt.stream = StreamMode::kShared;
   opt.backend = NetlistBackend::kIncremental;
   return opt;
 }
@@ -86,33 +87,25 @@ struct SmallDesign {
 
 TEST(DurationRegression, PermanentSharedIncrementalPinsPreDurationEngine) {
   // Captured from the engine at the previous PR's head: flagship FIR,
-  // shared stream, incremental backend, 8 samples, seed 0x2005.
+  // shared stream, incremental backend, 8 samples, seed 0x2005. Every
+  // backend classifies against the same reference, so all three must hit
+  // the same four numbers.
   const FlagshipDesign d;
-  const NetlistCampaignResult r = run_netlist_campaign(
-      d.graph, d.netlist, incremental_options(/*samples=*/8, 0x2005));
-  EXPECT_EQ(r.fault_universe_size, 9232u);
-  EXPECT_EQ(r.per_unit.size(), 16u);
-  EXPECT_EQ(r.aggregate.silent_correct, 41711u);
-  EXPECT_EQ(r.aggregate.detected_correct, 25827u);
-  EXPECT_EQ(r.aggregate.detected_erroneous, 6318u);
-  EXPECT_EQ(r.aggregate.masked, 0u);
-}
-
-TEST(DurationRegression, PermanentPerFaultBatchedPinsPreDurationEngine) {
-  // Same design, per-fault streams on the batched backend, 6 samples,
-  // seed 0x1234 — the second leg of the pre-duration capture.
-  const FlagshipDesign d;
-  NetlistCampaignOptions opt;
-  opt.samples_per_fault = 6;
-  opt.seed = 0x1234;
-  opt.stream = StreamMode::kPerFault;
-  opt.backend = NetlistBackend::kBatched;
-  const NetlistCampaignResult r = run_netlist_campaign(d.graph, d.netlist, opt);
-  EXPECT_EQ(r.fault_universe_size, 9232u);
-  EXPECT_EQ(r.aggregate.silent_correct, 31829u);
-  EXPECT_EQ(r.aggregate.detected_correct, 19077u);
-  EXPECT_EQ(r.aggregate.detected_erroneous, 4486u);
-  EXPECT_EQ(r.aggregate.masked, 0u);
+  for (const NetlistBackend backend :
+       {NetlistBackend::kScalar, NetlistBackend::kBatched,
+        NetlistBackend::kIncremental}) {
+    NetlistCampaignOptions opt = incremental_options(/*samples=*/8, 0x2005);
+    opt.backend = backend;
+    const NetlistCampaignResult r =
+        run_netlist_campaign(d.graph, d.netlist, opt);
+    SCOPED_TRACE(static_cast<int>(backend));
+    EXPECT_EQ(r.fault_universe_size, 9232u);
+    EXPECT_EQ(r.per_unit.size(), 16u);
+    EXPECT_EQ(r.aggregate.silent_correct, 41711u);
+    EXPECT_EQ(r.aggregate.detected_correct, 25827u);
+    EXPECT_EQ(r.aggregate.detected_erroneous, 6318u);
+    EXPECT_EQ(r.aggregate.masked, 0u);
+  }
 }
 
 // ---- 2. duration-model semantics -------------------------------------------
@@ -365,8 +358,7 @@ struct NarrowingDesign {
 };
 
 /// The plane backends with permanent stuck-ats, and with intermittent
-/// stuck-ats plus register SEUs. kBatched runs per-fault streams, so its
-/// per-lane stream seeding is narrowed too.
+/// stuck-ats plus register SEUs.
 [[nodiscard]] std::vector<NetlistCampaignOptions> narrowing_configs() {
   std::vector<NetlistCampaignOptions> configs;
   for (const NetlistBackend backend :
@@ -374,9 +366,6 @@ struct NarrowingDesign {
     for (const bool intermittent : {false, true}) {
       NetlistCampaignOptions opt = incremental_options(/*samples=*/4, 0xF0);
       opt.backend = backend;
-      if (backend == NetlistBackend::kBatched) {
-        opt.stream = StreamMode::kPerFault;
-      }
       if (intermittent) {
         opt.duration = fault::FaultDuration::kIntermittent;
         opt.duty_permille = 300;

@@ -1,11 +1,11 @@
-// Differential suites for the golden-trace incremental backend and the
-// shared-input-stream mode: under StreamMode::kShared every backend must
-// produce bit-identical NetlistCampaignResults, and kIncremental — which
-// replays only the union fault cone of each batch and splices everything
-// else from the golden trace — must match kBatched over the FULL FU fault
-// universes of the synthesized netlists at any thread count, including
-// partial final batches. These tests are the contract that lets coverage
-// campaigns switch to the incremental engine.
+// Differential suites for the golden-trace incremental backend: every
+// backend must produce bit-identical NetlistCampaignResults on the shared
+// input stream, and kIncremental — which replays only the union fault cone
+// of each batch and splices everything else from the golden trace — must
+// match kBatched over the FULL FU fault universes of the synthesized
+// netlists at any thread count, including partial final batches. These
+// tests are the contract that lets coverage campaigns run on the
+// incremental engine.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -33,7 +33,6 @@ void expect_incremental_identical(const Dfg& g, const Netlist& nl,
   NetlistCampaignOptions opt;
   opt.samples_per_fault = samples;
   opt.seed = seed;
-  opt.stream = StreamMode::kShared;
 
   opt.backend = NetlistBackend::kBatched;
   opt.threads = 1;
@@ -165,7 +164,6 @@ TEST(NetlistIncremental, SharedStreamIdenticalAcrossAllBackends) {
   opt.samples_per_fault = 8;
   opt.fault_stride = 3;  // subsample for the scalar anchor's sake
   opt.seed = 0x5A5A;
-  opt.stream = StreamMode::kShared;
 
   opt.backend = NetlistBackend::kScalar;
   opt.threads = 1;
@@ -181,28 +179,6 @@ TEST(NetlistIncremental, SharedStreamIdenticalAcrossAllBackends) {
   opt.threads = 2;
   const auto inc_r = run_netlist_campaign(g, nl, opt);
   EXPECT_TRUE(same_campaign_result(scalar_r, inc_r));
-}
-
-TEST(NetlistIncremental, SharedStreamDiffersFromPerFaultStream) {
-  // The two stream modes must not silently alias: same seed, different
-  // keying, different stimuli — so the aggregates (here the per-unit
-  // silent/erroneous split over a full universe) almost surely differ.
-  const Dfg g =
-      ced(build_fir(FirSpec{{2, 3, -5, 7}, 8}), CedStyle::kClassBased);
-  const Netlist nl = synthesize(g, ResourceConstraints::min_area(), "mode");
-
-  NetlistCampaignOptions opt;
-  opt.samples_per_fault = 8;
-  opt.fault_stride = 7;
-  opt.seed = 0xC0DE;
-  opt.backend = NetlistBackend::kBatched;
-
-  opt.stream = StreamMode::kPerFault;
-  const auto per_fault_r = run_netlist_campaign(g, nl, opt);
-  opt.stream = StreamMode::kShared;
-  const auto shared_r = run_netlist_campaign(g, nl, opt);
-  EXPECT_EQ(per_fault_r.fault_universe_size, shared_r.fault_universe_size);
-  EXPECT_FALSE(same_campaign_result(per_fault_r, shared_r));
 }
 
 // ---- fault dropping -------------------------------------------------------
@@ -221,7 +197,6 @@ void expect_drop_consistent(const Dfg& g, const Netlist& nl, int samples,
   opt.samples_per_fault = samples;
   opt.seed = seed;
   opt.fault_stride = fault_stride;
-  opt.stream = StreamMode::kShared;
   opt.backend = NetlistBackend::kIncremental;
 
   const auto full_r = run_netlist_campaign(g, nl, opt);

@@ -49,7 +49,6 @@ struct ServiceDesign {
 [[nodiscard]] hls::NetlistCampaignOptions incremental_options() {
   hls::NetlistCampaignOptions opt;
   opt.samples_per_fault = 6;
-  opt.stream = hls::StreamMode::kShared;
   opt.backend = hls::NetlistBackend::kIncremental;
   opt.threads = 1;
   return opt;
@@ -58,7 +57,6 @@ struct ServiceDesign {
 [[nodiscard]] hls::NetlistCampaignOptions batched_options() {
   hls::NetlistCampaignOptions opt;
   opt.samples_per_fault = 6;
-  opt.stream = hls::StreamMode::kPerFault;
   opt.backend = hls::NetlistBackend::kBatched;
   opt.threads = 1;
   return opt;

@@ -100,7 +100,6 @@ struct ChaosDesign {
 [[nodiscard]] hls::NetlistCampaignOptions campaign_options() {
   hls::NetlistCampaignOptions opt;
   opt.samples_per_fault = 6;
-  opt.stream = hls::StreamMode::kShared;
   opt.backend = hls::NetlistBackend::kIncremental;
   opt.threads = 1;
   return opt;

@@ -179,7 +179,6 @@ TEST(WireCodec, CampaignSetupSemanticRoundtrip) {
   setup.campaign.graph = design.graph;
   setup.campaign.netlist = design.netlist;
   setup.campaign.options.samples_per_fault = 5;
-  setup.campaign.options.stream = hls::StreamMode::kShared;
   setup.campaign.options.backend = hls::NetlistBackend::kIncremental;
 
   const std::vector<unsigned char> bytes = encode_campaign_setup(setup);
@@ -209,7 +208,6 @@ TEST(WireCodec, DurationAndSeuOptionsRoundtrip) {
   setup.campaign.graph = design.graph;
   setup.campaign.netlist = design.netlist;
   setup.campaign.options.samples_per_fault = 5;
-  setup.campaign.options.stream = hls::StreamMode::kShared;
   setup.campaign.options.backend = hls::NetlistBackend::kIncremental;
   setup.campaign.options.duration = sck::fault::FaultDuration::kIntermittent;
   setup.campaign.options.transient_samples = 3;
@@ -454,7 +452,6 @@ TEST(WirePayload, HostileElementCountRejected) {
 // must pass all three gates.
 using Edit = void (*)(hls::NetlistCampaignOptions&);
 using hls::NetlistBackend;
-using hls::StreamMode;
 using sck::fault::FaultDuration;
 
 const std::vector<std::pair<const char*, Edit>> kBrokenOptions = {
@@ -467,16 +464,9 @@ const std::vector<std::pair<const char*, Edit>> kBrokenOptions = {
     {"lanes 32", [](auto& o) { o.lanes = 32; }},
     {"lanes 1024", [](auto& o) { o.lanes = 1024; }},
     {"backend 3", [](auto& o) { o.backend = static_cast<NetlistBackend>(3); }},
-    {"stream 2", [](auto& o) { o.stream = static_cast<StreamMode>(2); }},
     {"duration 3",
      [](auto& o) { o.duration = static_cast<FaultDuration>(3); }},
-    {"incremental per-fault",
-     [](auto& o) { o.backend = NetlistBackend::kIncremental; }},
-    {"dropping batched",
-     [](auto& o) {
-       o.stream = StreamMode::kShared;
-       o.fault_dropping = true;
-     }},
+    {"dropping batched", [](auto& o) { o.fault_dropping = true; }},
     {"transient_samples 0", [](auto& o) { o.transient_samples = 0; }},
     {"duty 1001", [](auto& o) { o.duty_permille = 1001; }},
 };
@@ -493,10 +483,9 @@ const std::vector<std::pair<const char*, Edit>> kEdgeOptions = {
     {"lanes 256", [](auto& o) { o.lanes = 256; }},
     {"lanes 512", [](auto& o) { o.lanes = 512; }},
     {"scalar", [](auto& o) { o.backend = NetlistBackend::kScalar; }},
-    {"incremental shared dropping",
+    {"incremental dropping",
      [](auto& o) {
        o.backend = NetlistBackend::kIncremental;
-       o.stream = StreamMode::kShared;
        o.fault_dropping = true;
      }},
     {"intermittent duty 0",
@@ -516,10 +505,13 @@ const std::vector<std::pair<const char*, Edit>> kEdgeOptions = {
      }},
 };
 
-/// Small default options (samples 4) with one row's edit applied.
+/// Small default options (samples 4, batched backend) with one row's edit
+/// applied. The batched backend keeps the runner gate of the 2^24-sample
+/// row to the reference table: no golden trace of every wire.
 [[nodiscard]] hls::NetlistCampaignOptions with(Edit edit) {
   hls::NetlistCampaignOptions o;
   o.samples_per_fault = 4;
+  o.backend = hls::NetlistBackend::kBatched;
   edit(o);
   return o;
 }

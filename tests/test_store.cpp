@@ -63,7 +63,6 @@ struct SmallDesign {
 [[nodiscard]] hls::NetlistCampaignOptions small_options() {
   hls::NetlistCampaignOptions opt;
   opt.samples_per_fault = 6;
-  opt.stream = hls::StreamMode::kShared;
   return opt;
 }
 
@@ -134,13 +133,13 @@ TEST(Fingerprint, PinnedGoldenValues) {
 
   EXPECT_EQ(to_string(store::campaign_fingerprint(ced.graph, ced.plan,
                                                   small_options())),
-            "61368d5c83622952d041eb2a107d512d");
+            "529f437401a78037fee5800f81758c14");
   EXPECT_EQ(to_string(store::campaign_fingerprint(plain.graph, plain.plan,
                                                   small_options())),
-            "a085173464300da5ba569f2fc5edc597");
+            "06f78c74a80f793839c743408f3c9883");
   EXPECT_EQ(to_string(store::campaign_fingerprint(
                 other_coeffs.graph, other_coeffs.plan, small_options())),
-            "166f24cb1afb55e2c9e4bfa88bee0bc1");
+            "961d57fd9a85418bb4e9c061cc19a626");
 }
 
 TEST(Fingerprint, SensitiveToResultShapingInputsOnly) {
@@ -158,9 +157,6 @@ TEST(Fingerprint, SensitiveToResultShapingInputsOnly) {
   EXPECT_FALSE(store::campaign_fingerprint(d.graph, d.plan, o) == fp0);
   o = base;
   o.fault_stride = 2;
-  EXPECT_FALSE(store::campaign_fingerprint(d.graph, d.plan, o) == fp0);
-  o = base;
-  o.stream = hls::StreamMode::kPerFault;
   EXPECT_FALSE(store::campaign_fingerprint(d.graph, d.plan, o) == fp0);
   o = base;
   o.fault_dropping = true;
