@@ -8,9 +8,9 @@
 // the per-binary argv parsing and save-or-fail boilerplate used to be
 // copy-pasted per bench. `--threads=` names the worker-pool sizes a
 // scaling-aware bench sweeps (benches without a sweep ignore it);
-// `--lanes=` pins the bit-plane width (0 = SCK_LANES env, then the CPU
-// default — see hw::resolve_lanes), and every bench records the RESOLVED
-// width in its JSON rows so artifacts are self-describing.
+// `--lanes=` pins the bit-plane width (0 = hw::kDefaultLanes — see
+// hw::resolve_lanes), and every bench records the RESOLVED width in its
+// JSON rows so artifacts are self-describing.
 #pragma once
 
 #include <cstdlib>

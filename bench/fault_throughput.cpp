@@ -117,8 +117,8 @@ int main(int argc, char** argv) {
   const sck::bench::BenchArgs args = sck::bench::parse_args(
       argc, argv, "BENCH_fault_throughput.json", /*default_iterations=*/24);
   const int hw_threads = sck::fault::resolve_threads(0);
-  // Lane width the batched engines run at: --lanes if given, else the
-  // SCK_LANES env, else the CPU default — recorded per row below.
+  // Lane width the batched engines run at: --lanes if given, else
+  // hw::kDefaultLanes — recorded per row below.
   const int native_lanes = sck::hw::resolve_lanes(args.lanes);
 
   sck::hw::RippleCarryAdder adder(kWidth);

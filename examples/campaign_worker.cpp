@@ -5,8 +5,8 @@
 //                        [--max-shards=N] [--abrupt] [--reconnect]
 //
 // --lanes / --threads override the campaign's own settings LOCALLY —
-// results are invariant to both, which is exactly what lets heterogeneous
-// workers (AVX-512 next to portable) serve one byte-deterministic
+// results are invariant to both, which is exactly what lets workers at
+// different widths and thread counts serve one byte-deterministic
 // campaign. --max-shards/--abrupt are the worker-loss test hooks: after N
 // shards the worker severs its connection the instant the next shard
 // arrives, exercising the daemon's re-queue path like a SIGKILL would.

@@ -8,8 +8,8 @@
 //
 // Build & run:  ./build/examples/fault_campaign [--lanes=N]
 // (--lanes pins the bit-plane batch width of the W-lane rerun at the end;
-// 0/omitted = SCK_LANES env, then the CPU default. Results are identical
-// at every width — the flag only changes how many faults share a batch.)
+// 0/omitted = hw::kDefaultLanes. Results are identical at every width —
+// the flag only changes how many faults share a batch.)
 #include <algorithm>
 #include <iostream>
 #include <string>

@@ -53,9 +53,9 @@ struct CampaignOptions {
   bool skip_b_zero = false;      ///< exclude op2 == 0 (division campaigns)
   bool keep_per_fault = false;   ///< retain the per-fault breakdown
 
-  /// Lane count for the batched drivers: 0 resolves via SCK_LANES then the
-  /// CPU default (hw/plane.h), else one of {64, 128, 256, 512}. Results
-  /// are bit-identical at every width; this only sizes the batches.
+  /// Lane count for the batched drivers: 0 takes hw::kDefaultLanes
+  /// (hw/plane.h), else one of {64, 128, 256, 512}. Results are
+  /// bit-identical at every width; this only sizes the batches.
   int lanes = 0;
 };
 

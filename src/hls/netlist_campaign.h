@@ -25,9 +25,9 @@
 //                 its ≤W faulted FUs, splicing everything else from the
 //                 golden trace.
 // The maximum lane width W is resolved once per campaign (options.lanes,
-// the SCK_LANES env var, or the CPU default — see hw::resolve_lanes); a
-// call with fewer than threads x W jobs runs on narrower planes, halving
-// down to 64 lanes until every thread has a batch. The width only changes
+// else hw::kDefaultLanes — see hw::resolve_lanes); a call with fewer
+// than threads x W jobs runs on narrower planes, halving down to 64 lanes
+// until every thread has a batch. The width only changes
 // how faults are grouped into batches: per-fault stats land in
 // job-indexed slots reduced in fault-index order, so the result is
 // bit-identical for ANY backend, lane width and thread count
@@ -96,9 +96,9 @@ struct NetlistCampaignOptions {
   /// bit-identical for any thread count.
   int threads = 1;
   /// Bit-plane lane width for the batched/incremental backends: one of
-  /// {64, 128, 256, 512}, or 0 to resolve via the SCK_LANES env var and
-  /// then the CPU default (hw::resolve_lanes). Results are bit-identical
-  /// at every width; wider planes only batch more faults per evaluation.
+  /// {64, 128, 256, 512}, or 0 for hw::kDefaultLanes (hw::resolve_lanes).
+  /// Results are bit-identical at every width; wider planes only batch
+  /// more faults per evaluation.
   int lanes = 0;
   NetlistBackend backend = NetlistBackend::kIncremental;
   /// Read by nothing: the stream is always shared. Kept only so existing

@@ -402,7 +402,7 @@ struct CampaignDaemon::Impl {
       return;
     }
     // Capability negotiation. The protocol version is the only hard
-    // requirement; lanes/ISA are recorded for ShardStats telemetry —
+    // requirement; the lane width is recorded for ShardStats telemetry —
     // results are lane-width-invariant, so any worker may run any shard.
     if (hello->protocol != kWireProtocolVersion) {
       enqueue(conn, encode_frame(

@@ -17,7 +17,7 @@
 // batch boundaries on every worker regardless of the width IT resolved.
 //
 // Robustness (nix-daemon exemplar): workers negotiate capabilities on
-// connect (protocol version checked, lanes/ISA recorded); a worker that
+// connect (protocol version checked, lane width recorded); a worker that
 // disconnects or goes silent past the heartbeat timeout while holding
 // in-flight shards has them re-queued to survivors (fault::ShardQueue);
 // duplicate results from a presumed-dead worker are dropped idempotently

@@ -194,8 +194,6 @@ std::vector<unsigned char> encode_hello(const HelloPayload& p) {
   w.u32(p.protocol);
   w.str(p.worker_name);
   w.i32(p.native_lanes);
-  w.str(p.isa);
-  w.u64(p.feature_flags);
   return std::move(w).take();
 }
 
@@ -203,7 +201,7 @@ std::optional<HelloPayload> decode_hello(
     std::span<const unsigned char> payload) {
   return decode_all<HelloPayload>(payload, [](Reader& r, HelloPayload& p) {
     return r.u32(p.protocol) && r.str(p.worker_name) &&
-           r.i32(p.native_lanes) && r.str(p.isa) && r.u64(p.feature_flags);
+           r.i32(p.native_lanes);
   });
 }
 

@@ -50,7 +50,8 @@ inline constexpr std::uint64_t kWireMagic = 0x0045524957'4B4353ULL;
 /// v4: the canonical codec — options are the result key followed by the
 /// execution settings, and UnitCoverage::fu_index is an i64.
 /// v5: the options drop the stream mode (every stream is shared).
-inline constexpr std::uint32_t kWireProtocolVersion = 5;
+/// v6: the Hello drops the ISA string and the unused feature flags.
+inline constexpr std::uint32_t kWireProtocolVersion = 6;
 
 /// Hard ceiling on one frame's payload. A length prefix beyond this is
 /// rejected from the header alone — a corrupted (or hostile) length can
@@ -126,15 +127,13 @@ class FrameBuffer {
 // returning std::nullopt on any malformed input.
 
 /// Worker capability announcement. The daemon rejects a protocol mismatch
-/// outright; lanes/ISA are telemetry (results are lane-width-invariant,
+/// outright; the lane width is telemetry (results are lane-width-invariant,
 /// so capability negotiation never needs to *restrict* scheduling — any
 /// worker can run any shard).
 struct HelloPayload {
   std::uint32_t protocol = kWireProtocolVersion;
   std::string worker_name;
   std::int32_t native_lanes = 0;  ///< hw::resolve_lanes on the worker
-  std::string isa;                ///< "avx512" / "avx2" / "portable"
-  std::uint64_t feature_flags = 0;  ///< reserved for future negotiation
 
   friend bool operator==(const HelloPayload&, const HelloPayload&) = default;
 };

@@ -28,16 +28,6 @@ namespace {
 /// must not hang the worker forever: past this, redial with a clean stream.
 constexpr double kHelloAckTimeout = 5.0;
 
-[[nodiscard]] const char* native_isa() {
-#if defined(__AVX512F__)
-  return "avx512";
-#elif defined(__AVX2__)
-  return "avx2";
-#else
-  return "portable";
-#endif
-}
-
 enum class Loop { kContinue, kDone, kFail, kLost };
 
 struct WorkerState {
@@ -182,7 +172,6 @@ Loop handle_frame(WorkerState& state, const Frame& frame) {
   hello.protocol = kWireProtocolVersion;
   hello.worker_name = options.name;
   hello.native_lanes = hw::resolve_lanes(options.lanes);
-  hello.isa = native_isa();
   const double hello_at = now_seconds();
   if (!send_frame(fd, MsgType::kHello, encode_hello(hello))) {
     return Loop::kLost;

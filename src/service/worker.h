@@ -21,7 +21,7 @@ struct WorkerOptions {
   /// Name reported in Hello (shows up in ShardStats). "" = auto.
   std::string name;
   /// Local lane-width override (0 = campaign's own setting, then
-  /// SCK_LANES, then CPU default). Results are identical at any width.
+  /// hw::kDefaultLanes). Results are identical at any width.
   int lanes = 0;
   /// Local thread-count override for shard execution (0 = campaign's).
   int threads = 0;

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <vector>
 
 #include "common/rng.h"
@@ -200,31 +199,18 @@ TEST(PlaneDispatch, SupportedWidthsAndResolution) {
   EXPECT_FALSE(lanes_supported(32));
   EXPECT_FALSE(lanes_supported(1024));
 
-  // Explicit request wins over everything.
+  // An explicit supported width is used as given.
   for (const int lanes : {64, 128, 256, 512}) {
     EXPECT_EQ(resolve_lanes(lanes), lanes);
   }
-  // Default resolution lands on a supported width.
-  EXPECT_TRUE(lanes_supported(resolve_lanes(0)));
 }
 
-TEST(PlaneDispatch, EnvOverrideAppliesWhenUnrequested) {
-  ASSERT_EQ(setenv("SCK_LANES", "128", /*overwrite=*/1), 0);
-  EXPECT_EQ(resolve_lanes(0), 128);
-  EXPECT_EQ(resolve_lanes(512), 512);  // explicit still wins
-  ASSERT_EQ(unsetenv("SCK_LANES"), 0);
-}
-
-TEST(PlaneDispatch, MalformedEnvOverrideAborts) {
-  // A typo'd SCK_LANES must abort with the offending text, never parse to
-  // 0 (the old std::atoi behaviour) and silently fall back to the CPU
-  // default, and never snap to a nearby width.
-  for (const char* bad : {"garbage", "128x", " 128", "100", "-64", "1e2"}) {
-    ASSERT_EQ(setenv("SCK_LANES", bad, /*overwrite=*/1), 0);
-    EXPECT_DEATH((void)resolve_lanes(0), "SCK_LANES")
-        << "SCK_LANES=\"" << bad << "\"";
-  }
-  ASSERT_EQ(unsetenv("SCK_LANES"), 0);
+TEST(PlaneDispatch, UnrequestedResolvesToFixedDefault) {
+  // No request means the one fixed default on every host: the width (and
+  // with it the batch count) never depends on the CPU the campaign runs on.
+  static_assert(lanes_supported(kDefaultLanes));
+  EXPECT_EQ(resolve_lanes(0), kDefaultLanes);
+  EXPECT_EQ(resolve_lanes(-1), kDefaultLanes);
 }
 
 TEST(PlaneDispatch, DispatchSelectsMatchingWidth) {

@@ -42,8 +42,6 @@ struct WireDesign {
   HelloPayload h;
   h.worker_name = "worker-7";
   h.native_lanes = 256;
-  h.isa = "avx2";
-  h.feature_flags = 0x5;
   return h;
 }
 
