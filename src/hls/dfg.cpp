@@ -125,18 +125,23 @@ std::unordered_map<Op, int> Dfg::op_histogram() const {
   return hist;
 }
 
-Dfg::EvalResult Dfg::eval(
-    const std::unordered_map<std::string, std::uint64_t>& input_values,
-    std::vector<std::uint64_t>& reg_state) const {
+void Dfg::eval(std::span<const std::uint64_t> inputs,
+               std::span<std::uint64_t> outputs,
+               std::vector<std::uint64_t>& reg_state) const {
+  SCK_EXPECTS(inputs.size() == inputs_.size());
+  SCK_EXPECTS(outputs.size() == outputs_.size());
   SCK_EXPECTS(reg_state.size() == regs_.size());
   std::vector<std::uint64_t> value(nodes_.size(), 0);
 
-  // Seed register outputs with the current state.
+  // Seed input ports and register outputs with the current state.
+  for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    const auto id = static_cast<std::size_t>(inputs_[i]);
+    value[id] = trunc(inputs[i], nodes_[id].width);
+  }
   for (std::size_t i = 0; i < regs_.size(); ++i) {
     value[static_cast<std::size_t>(regs_[i])] = reg_state[i];
   }
 
-  EvalResult result;
   for (const NodeId id : topo_order()) {
     const Node& n = nodes_[static_cast<std::size_t>(id)];
     const auto in = [&](int k) {
@@ -144,21 +149,15 @@ Dfg::EvalResult Dfg::eval(
     };
     const int w = n.width;
     switch (n.op) {
-      case Op::kInput: {
-        const auto it = input_values.find(n.name);
-        SCK_EXPECTS(it != input_values.end() && "missing input value");
-        value[static_cast<std::size_t>(id)] = trunc(it->second, w);
-        break;
-      }
+      case Op::kInput:
+      case Op::kReg:
+        break;  // seeded above
       case Op::kConst:
         value[static_cast<std::size_t>(id)] =
             from_signed(n.value, w);
         break;
-      case Op::kReg:
-        break;  // seeded above
       case Op::kOutput:
         value[static_cast<std::size_t>(id)] = in(0);
-        result.outputs[n.name] = in(0);
         break;
       case Op::kAdd:
         value[static_cast<std::size_t>(id)] = sck::add(in(0), in(1), w);
@@ -198,10 +197,31 @@ Dfg::EvalResult Dfg::eval(
     }
   }
 
+  for (std::size_t i = 0; i < outputs_.size(); ++i) {
+    outputs[i] = value[static_cast<std::size_t>(outputs_[i])];
+  }
   // Advance the sequential state.
   for (std::size_t i = 0; i < regs_.size(); ++i) {
     const Node& r = nodes_[static_cast<std::size_t>(regs_[i])];
     reg_state[i] = value[static_cast<std::size_t>(r.ins[0])];
+  }
+}
+
+Dfg::EvalResult Dfg::eval(
+    const std::unordered_map<std::string, std::uint64_t>& input_values,
+    std::vector<std::uint64_t>& reg_state) const {
+  std::vector<std::uint64_t> in(inputs_.size());
+  for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    const auto it =
+        input_values.find(nodes_[static_cast<std::size_t>(inputs_[i])].name);
+    SCK_EXPECTS(it != input_values.end() && "missing input value");
+    in[i] = it->second;
+  }
+  std::vector<std::uint64_t> out(outputs_.size());
+  eval(in, out, reg_state);
+  EvalResult result;
+  for (std::size_t i = 0; i < outputs_.size(); ++i) {
+    result.outputs[nodes_[static_cast<std::size_t>(outputs_[i])].name] = out[i];
   }
   return result;
 }

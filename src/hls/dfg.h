@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -192,9 +193,18 @@ class Dfg {
   /// Number of nodes per op (for cost reporting and tests).
   [[nodiscard]] std::unordered_map<Op, int> op_histogram() const;
 
-  /// Reference (unscheduled) simulation of one sample: given input values,
-  /// computes outputs and the next register state. Used as the golden model
-  /// for the netlist simulator.
+  /// Reference (unscheduled) simulation of one sample, by position: reads
+  /// `inputs` in inputs() order, writes `outputs` in outputs() order and
+  /// advances `reg_state` (state_regs() order) to the next sample. The
+  /// golden model for the netlist simulator and the campaign engine's
+  /// reference table.
+  void eval(std::span<const std::uint64_t> inputs,
+            std::span<std::uint64_t> outputs,
+            std::vector<std::uint64_t>& reg_state) const;
+
+  /// Name-keyed wrapper over the positional eval: every input port must
+  /// have a value (extra names are ignored); outputs come back by port
+  /// name.
   struct EvalResult {
     std::unordered_map<std::string, std::uint64_t> outputs;
   };

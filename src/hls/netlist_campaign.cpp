@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <numeric>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/assert.h"
@@ -252,9 +251,9 @@ void run_fault_batch(const Dfg& graph, NetlistBatchSimT<P>& sim,
 ///     all — every lane is provably golden there, so the precomputed
 ///     `golden_outcome` of each skipped sample is recorded verbatim and
 ///     the register file is preloaded from the trace at the window start;
-///   - stuck-at lanes are re-armed per sample (LUT tables only — the
-///     union cone is never shrunk, because a disarmed lane's residual
-///     state divergence still needs its cone replayed);
+///   - stuck-at lanes are re-armed per sample (the lane tables' armed
+///     mask only — the union cone is never shrunk, because a disarmed
+///     lane's residual state divergence still needs its cone replayed);
 ///   - SEU lanes flip their register bit at their hash-derived sample.
 /// With fault dropping, a lane retires after its first detected sample
 /// (recorded, then excluded); once every lane retired the batch ends
@@ -560,19 +559,20 @@ CampaignSliceRunner::CampaignSliceRunner(const Dfg& graph,
             static_cast<std::size_t>(options.samples_per_fault) * num_outputs);
         std::vector<std::uint64_t> ref_state(impl->graph.state_regs().size(),
                                              0);
-        std::unordered_map<std::string, std::uint64_t> ref_in;
         for (int k = 0; k < options.samples_per_fault; ++k) {
-          for (std::size_t i = 0; i < num_inputs; ++i) {
-            const Node& n = impl->graph.node(impl->graph.inputs()[i]);
-            ref_in[n.name] =
-                impl->shared_stream[static_cast<std::size_t>(k) * num_inputs +
-                                    i];
-          }
-          const auto want = impl->graph.eval(ref_in, ref_state);
+          const std::span<std::uint64_t> want(
+              impl->want_values.data() +
+                  static_cast<std::size_t>(k) * num_outputs,
+              num_outputs);
+          impl->graph.eval(
+              std::span<const std::uint64_t>(
+                  impl->shared_stream.data() +
+                      static_cast<std::size_t>(k) * num_inputs,
+                  num_inputs),
+              want, ref_state);
           for (std::size_t i = 0; i < num_outputs; ++i) {
-            const Node& n = impl->graph.node(impl->graph.outputs()[i]);
-            impl->want_values[static_cast<std::size_t>(k) * num_outputs + i] =
-                trunc(want.outputs.at(n.name), n.width);
+            want[i] = trunc(want[i],
+                            impl->graph.node(impl->graph.outputs()[i]).width);
           }
         }
 

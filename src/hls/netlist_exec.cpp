@@ -430,55 +430,59 @@ NetlistBatchSimT<P>::NetlistBatchSimT(const ExecPlan& plan)
   }
 }
 
-template <typename P>
-void NetlistBatchSimT<P>::clear_lane_faults() {
-  for (std::size_t f = 0; f < lane_faults_.size(); ++f) {
-    if (lane_faults_[f].empty()) continue;
-    lane_faults_[f].clear();
-    bank_.unit(static_cast<int>(f))->set_lane_faults(nullptr);
-  }
-  installed_.clear();
-}
+namespace {
 
+/// Validate `fault` against FU `fu_index` of `bank` and add it to that FU's
+/// lane fault table on `lanes`, installing the table on the unit.
 template <typename P>
-void NetlistBatchSimT<P>::install(int fu_index, const hw::FaultSite& fault,
-                                  const P& lanes) {
-  hw::FaultableUnit* u = bank_.unit(fu_index);
+void add_to_lane_table(const FuBank& bank,
+                       std::vector<hw::LaneFaultSetT<P>>& tables,
+                       int fu_index, const hw::FaultSite& fault,
+                       const P& lanes) {
+  hw::FaultableUnit* u = bank.unit(fu_index);
   SCK_EXPECTS(u != nullptr && "checker-side units accept no faults");
   SCK_EXPECTS(fault.active());
   SCK_EXPECTS(fault.cell >= 0 && fault.cell < u->cell_count());
   const hw::CellKind kind = u->cell_kind(fault.cell);
   SCK_EXPECTS(fault.line < hw::cell_line_count(kind));
-  hw::LaneFaultSetT<P>& set =
-      lane_faults_[static_cast<std::size_t>(fu_index)];
-  set.add(fault.cell, hw::faulty_cell_lut(kind, fault.line, fault.stuck_value),
-          lanes);
-  u->set_lane_faults(&set);
+  hw::LaneFaultSetT<P>& table = tables[static_cast<std::size_t>(fu_index)];
+  table.add(fault.cell,
+            hw::faulty_cell_lut(kind, fault.line, fault.stuck_value), lanes);
+  u->set_lane_faults(&table);
+}
+
+/// Empty every lane fault table (re-arming all lanes) and uninstall the
+/// non-empty ones from their units.
+template <typename P>
+void clear_lane_tables(const FuBank& bank,
+                       std::vector<hw::LaneFaultSetT<P>>& tables) {
+  for (std::size_t f = 0; f < tables.size(); ++f) {
+    if (!tables[f].empty()) {
+      bank.unit(static_cast<int>(f))->set_lane_faults(nullptr);
+    }
+    tables[f].clear();
+  }
+}
+
+}  // namespace
+
+template <typename P>
+void NetlistBatchSimT<P>::clear_lane_faults() {
+  clear_lane_tables(bank_, lane_faults_);
 }
 
 template <typename P>
 void NetlistBatchSimT<P>::add_lane_fault(int fu_index,
                                          const hw::FaultSite& fault,
                                          const P& lanes) {
-  install(fu_index, fault, lanes);
-  installed_.push_back(InstalledFault{fu_index, fault, lanes});
+  add_to_lane_table(bank_, lane_faults_, fu_index, fault, lanes);
 }
 
 template <typename P>
 void NetlistBatchSimT<P>::arm_lane_faults(const P& armed) {
-  // Rebuild the per-FU lane tables from the installed set, masked by
-  // `armed`; architectural state (and thus residual divergence of disarmed
-  // lanes) is untouched.
-  for (std::size_t f = 0; f < lane_faults_.size(); ++f) {
-    if (lane_faults_[f].empty()) continue;
-    lane_faults_[f].clear();
-    bank_.unit(static_cast<int>(f))->set_lane_faults(nullptr);
-  }
-  for (const InstalledFault& fault : installed_) {
-    const P lanes = fault.lanes & armed;
-    if (!hw::plane_any(lanes)) continue;
-    install(fault.fu, fault.site, lanes);
-  }
+  // Architectural state (and thus residual divergence of disarmed lanes)
+  // is untouched.
+  for (hw::LaneFaultSetT<P>& table : lane_faults_) table.arm(armed);
 }
 
 template <typename P>
@@ -520,11 +524,7 @@ NetlistIncrementalSimT<P>::NetlistIncrementalSimT(const ExecPlan& plan,
 
 template <typename P>
 void NetlistIncrementalSimT<P>::clear_lane_faults() {
-  for (std::size_t f = 0; f < lane_faults_.size(); ++f) {
-    if (lane_faults_[f].empty()) continue;
-    lane_faults_[f].clear();
-    bank_.unit(static_cast<int>(f))->set_lane_faults(nullptr);
-  }
+  clear_lane_tables(bank_, lane_faults_);
   faults_.clear();
   seu_faults_.clear();
   std::fill(seu_regs_.begin(), seu_regs_.end(), 0);
@@ -537,19 +537,8 @@ template <typename P>
 void NetlistIncrementalSimT<P>::add_lane_fault(int fu_index,
                                                const hw::FaultSite& fault,
                                                const P& lanes) {
-  hw::FaultableUnit* u = bank_.unit(fu_index);
-  SCK_EXPECTS(u != nullptr && "checker-side units accept no faults");
-  SCK_EXPECTS(fault.active());
-  SCK_EXPECTS(fault.cell >= 0 && fault.cell < u->cell_count());
-  const hw::CellKind kind = u->cell_kind(fault.cell);
-  SCK_EXPECTS(fault.line < hw::cell_line_count(kind));
-  hw::LaneFaultSetT<P>& set =
-      lane_faults_[static_cast<std::size_t>(fu_index)];
-  set.add(fault.cell, hw::faulty_cell_lut(kind, fault.line, fault.stuck_value),
-          lanes);
-  u->set_lane_faults(&set);
-
-  faults_.push_back(InstalledFault{fu_index, fault, lanes});
+  add_to_lane_table(bank_, lane_faults_, fu_index, fault, lanes);
+  faults_.push_back(InstalledFault{fu_index, lanes});
   const std::span<const std::uint64_t> cone = cones_.op_cone(fu_index);
   for (std::size_t w = 0; w < cone_.size(); ++w) cone_[w] |= cone[w];
   const std::size_t rw = cones_.reg_mask_words();
@@ -584,25 +573,9 @@ void NetlistIncrementalSimT<P>::add_lane_seu(int reg, int bit,
 
 template <typename P>
 void NetlistIncrementalSimT<P>::arm_lane_faults(const P& armed) {
-  // Lane-table rebuild only: the union cone must keep covering disarmed
-  // lanes (their residual state divergence still replays through it).
-  for (std::size_t f = 0; f < lane_faults_.size(); ++f) {
-    if (lane_faults_[f].empty()) continue;
-    lane_faults_[f].clear();
-    bank_.unit(static_cast<int>(f))->set_lane_faults(nullptr);
-  }
-  for (const InstalledFault& fault : faults_) {
-    const P lanes = fault.lanes & armed;
-    if (!hw::plane_any(lanes)) continue;
-    hw::FaultableUnit* u = bank_.unit(fault.fu);
-    const hw::CellKind kind = u->cell_kind(fault.site.cell);
-    hw::LaneFaultSetT<P>& set =
-        lane_faults_[static_cast<std::size_t>(fault.fu)];
-    set.add(fault.site.cell,
-            hw::faulty_cell_lut(kind, fault.site.line, fault.site.stuck_value),
-            lanes);
-    u->set_lane_faults(&set);
-  }
+  // Lane tables only: the union cone must keep covering disarmed lanes
+  // (their residual state divergence still replays through it).
+  for (hw::LaneFaultSetT<P>& table : lane_faults_) table.arm(armed);
 }
 
 template <typename P>

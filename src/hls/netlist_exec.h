@@ -525,12 +525,13 @@ class NetlistBatchSimT {
   void add_lane_fault(int fu_index, const hw::FaultSite& fault,
                       const P& lanes);
 
-  /// Re-arm the installed faults on the lanes of `armed` only: lanes
-  /// outside the mask run fault-free this sample while KEEPING any state
-  /// divergence they already accumulated (the transient/intermittent
-  /// semantics — a disarmed fault's residual corruption lives on). The
-  /// installed set is untouched; call again with a different mask to
-  /// toggle per sample.
+  /// Arm the installed faults on the lanes of `armed` only: lanes outside
+  /// the mask run fault-free while KEEPING any state divergence they
+  /// already accumulated (the transient/intermittent semantics — a
+  /// disarmed fault's residual corruption lives on). Sets the mask on
+  /// every per-FU lane fault table and leaves the faults themselves
+  /// untouched, so it costs O(FUs); the mask holds until the next call or
+  /// clear_lane_faults.
   void arm_lane_faults(const P& armed);
 
   /// XOR bit-plane `bit` of register `reg` on the lanes of `lanes` — an
@@ -563,21 +564,11 @@ class NetlistBatchSimT {
   [[nodiscard]] const ExecPlan& plan() const { return plan_; }
 
  private:
-  /// One installed per-lane fault (kept across arm_lane_faults calls).
-  struct InstalledFault {
-    int fu = -1;
-    hw::FaultSite site;
-    P lanes{};
-  };
-
-  void install(int fu_index, const hw::FaultSite& fault, const P& lanes);
-
   ExecPlan owned_plan_;     ///< empty when constructed over a shared plan
   const ExecPlan& plan_;
   FuBank bank_;
   std::vector<hw::LaneFaultSetT<P>> lane_faults_;  ///< per FU instance
   BatchExecSemanticsT<P> sem_;
-  std::vector<InstalledFault> installed_;
 };
 
 /// The 64-lane reference batch backend.
@@ -621,10 +612,11 @@ class NetlistIncrementalSimT {
   /// this call only commits the cone so every affected op replays.
   void add_lane_seu(int reg, int bit, const P& lanes);
 
-  /// Re-arm the installed STUCK-AT faults on the lanes of `armed` only
-  /// (transient/intermittent duty). Rebuilds the per-FU lane fault tables;
-  /// the union cone is deliberately NOT shrunk — a disarmed lane's
-  /// residual state divergence still needs its cone replayed.
+  /// Arm the installed STUCK-AT faults on the lanes of `armed` only
+  /// (transient/intermittent duty), like NetlistBatchSimT::arm_lane_faults:
+  /// the mask is set on every per-FU lane fault table. The union cone is
+  /// deliberately NOT shrunk — a disarmed lane's residual state divergence
+  /// still needs its cone replayed.
   void arm_lane_faults(const P& armed);
 
   /// XOR bit-plane `bit` of register `reg` on the lanes of `lanes`. Only
@@ -688,10 +680,9 @@ class NetlistIncrementalSimT {
   FuBank bank_;
   std::vector<hw::LaneFaultSetT<P>> lane_faults_;  ///< per FU instance
   BatchExecSemanticsT<P> sem_;
-  /// Installed stuck-at faults (full site kept for re-arming).
+  /// Installed stuck-at faults (FU and lanes, for cone rebuilds).
   struct InstalledFault {
     int fu = -1;
-    hw::FaultSite site;
     P lanes{};
   };
   std::vector<InstalledFault> faults_;

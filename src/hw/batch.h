@@ -252,71 +252,90 @@ struct CellBatch {
 /// execution backend where lane L of a batch simulates its own injected
 /// fault (lane = fault, not lane = input pattern). Unlike the single-fault
 /// CellBatch path, different lanes may corrupt different cells with
-/// different truth tables; each entry pins one compiled faulty LUT to a
-/// set of lanes of one cell. A unit evaluates the golden plane expression
-/// for every cell and blends each matching entry's CellBatch output into
-/// the entry's lanes (see FaultableUnit::set_lane_faults).
+/// different truth tables.
+///
+/// The table is kept per corrupted cell, not per fault: a cell's faults are
+/// merged into row planes, rows[o][r] = the lanes whose faulty LUT outputs
+/// 1 on output o for truth-table row r. A unit evaluates the golden plane
+/// expression for every cell; on a corrupted cell it picks each lane's row
+/// plane with a mux tree over the cell's input planes and merges it under
+/// the cell's lanes (see FaultableUnit::set_lane_faults). The cost of a
+/// corrupted cell is therefore the same whether one fault or W land on it.
+///
+/// An `armed` plane (all lanes after construction and clear()) gates every
+/// fault: lanes outside it run golden cells, which is how transient and
+/// intermittent duty toggles faults per sample without rebuilding rows.
 ///
 /// Lane discipline: a lane hosts at most one fault across the whole design,
-/// so entries targeting the same cell must carry disjoint lane masks.
+/// so faults targeting the same cell must carry disjoint lane masks.
 template <typename P>
 class LaneFaultSetT {
  public:
-  struct Entry {
+  /// One corrupted cell: the union of its faults' lanes and their merged
+  /// faulty truth tables as row planes (rows of 2-input cells stop at 4).
+  struct CellRows {
     int cell = -1;
-    CellBatch batch;
     P lanes{};
+    std::array<std::array<P, 8>, 2> rows{};
   };
 
-  /// Size the per-cell occupancy index once (cells never change).
+  /// Size the per-cell slot index once (cells never change).
   explicit LaneFaultSetT(int cell_count)
-      : faulty_lanes_(static_cast<std::size_t>(cell_count), P{}),
-        by_cell_(static_cast<std::size_t>(cell_count)) {}
+      : slot_(static_cast<std::size_t>(cell_count), -1),
+        armed_(plane_ones<P>()) {}
 
-  /// Drop all entries (cheap: only previously-touched cells are cleared).
+  /// Drop all faults and re-arm every lane (cheap: only previously
+  /// corrupted cells are touched).
   void clear() {
-    for (const Entry& e : entries_) {
-      faulty_lanes_[static_cast<std::size_t>(e.cell)] = P{};
-      by_cell_[static_cast<std::size_t>(e.cell)].clear();
+    for (const CellRows& c : cells_) {
+      slot_[static_cast<std::size_t>(c.cell)] = -1;
     }
-    entries_.clear();
+    cells_.clear();
+    armed_ = plane_ones<P>();
   }
 
-  /// Corrupt `cell` on `lanes` with the compiled faulty truth table.
+  /// Corrupt `cell` on `lanes` with the faulty truth table.
   void add(int cell, const CellLut& faulty_lut, const P& lanes) {
-    SCK_EXPECTS(cell >= 0 &&
-                static_cast<std::size_t>(cell) < faulty_lanes_.size());
-    SCK_EXPECTS(
-        !plane_any(faulty_lanes_[static_cast<std::size_t>(cell)] & lanes) &&
-        "a lane hosts at most one fault per cell");
-    faulty_lanes_[static_cast<std::size_t>(cell)] |= lanes;
-    by_cell_[static_cast<std::size_t>(cell)].push_back(
-        static_cast<std::uint32_t>(entries_.size()));
-    entries_.push_back(Entry{cell, CellBatch::compile(faulty_lut), lanes});
+    SCK_EXPECTS(cell >= 0 && static_cast<std::size_t>(cell) < slot_.size());
+    std::int32_t& slot = slot_[static_cast<std::size_t>(cell)];
+    if (slot < 0) {
+      slot = static_cast<std::int32_t>(cells_.size());
+      cells_.push_back(CellRows{cell, P{}, {}});
+    }
+    CellRows& c = cells_[static_cast<std::size_t>(slot)];
+    SCK_EXPECTS(!plane_any(c.lanes & lanes) &&
+                "a lane hosts at most one fault per cell");
+    c.lanes |= lanes;
+    for (std::size_t row = 0; row < 8; ++row) {
+      const unsigned entry = faulty_lut[row];
+      if (entry & 1u) c.rows[0][row] |= lanes;
+      if (entry & 2u) c.rows[1][row] |= lanes;
+    }
   }
 
-  [[nodiscard]] bool empty() const { return entries_.empty(); }
+  /// Gate every fault, present and later added, by `armed` until the next
+  /// arm() or clear().
+  void arm(const P& armed) { armed_ = armed; }
+
+  [[nodiscard]] bool empty() const { return cells_.empty(); }
 
   /// Hot-path occupancy probe: does any lane corrupt this cell?
   [[nodiscard]] bool cell_faulty(int cell) const {
-    return plane_any(faulty_lanes_[static_cast<std::size_t>(cell)]);
+    return slot_[static_cast<std::size_t>(cell)] >= 0;
   }
 
-  /// All entries (a batch holds at most W).
-  [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
-
-  /// Indices of the entries corrupting `cell`. The blend loops iterate
-  /// this instead of filtering entries(): with W faults per batch landing
-  /// on the same unit, a full scan per faulty cell per sample is the
-  /// difference between flat and W-linear faulty-cell cost.
-  [[nodiscard]] std::span<const std::uint32_t> cell_entries(int cell) const {
-    return by_cell_[static_cast<std::size_t>(cell)];
+  /// The merged faults of a corrupted cell (requires cell_faulty(cell)).
+  [[nodiscard]] const CellRows& rows_of(int cell) const {
+    return cells_[static_cast<std::size_t>(
+        slot_[static_cast<std::size_t>(cell)])];
   }
+
+  [[nodiscard]] const P& armed() const { return armed_; }
 
  private:
-  std::vector<P> faulty_lanes_;  ///< per cell: lanes with a fault
-  std::vector<std::vector<std::uint32_t>> by_cell_;  ///< per cell: entries
-  std::vector<Entry> entries_;
+  std::vector<std::int32_t> slot_;  ///< per cell: index into cells_, or -1
+  std::vector<CellRows> cells_;     ///< corrupted cells, in first-add order
+  P armed_;
 };
 
 /// The 64-lane reference lane-fault table.

@@ -147,8 +147,9 @@ class FaultableUnit {
   // Same contract as eval_cell, but over lane planes of any width: each
   // helper advances all W trials with the hand-compiled golden expression,
   // routing the unit's single faulty cell through the compiled CellBatch
-  // instead. The batch path does not feed CellUsageRecorder — usage
-  // recording is a scalar-path analysis (the hot campaign loops run
+  // instead, and the cells of an installed lane-fault table through
+  // blend_lane_faults. The batch path does not feed CellUsageRecorder —
+  // usage recording is a scalar-path analysis (the hot campaign loops run
   // without one).
 
   template <typename P>
@@ -162,7 +163,7 @@ class FaultableUnit {
     LaneDuoT<P> out{x ^ c, (a & b) | (x & c)};
     if (lane_faults_ != nullptr && lane_fault_table<P>()->cell_faulty(cell))
         [[unlikely]] {
-      out = blend_lane_faults3(cell, a, b, c, out);
+      out = blend_lane_faults<3, 2>(cell, a, b, c, out);
     }
     return out;
   }
@@ -175,7 +176,8 @@ class FaultableUnit {
     P out = a & b;
     if (lane_faults_ != nullptr && lane_fault_table<P>()->cell_faulty(cell))
         [[unlikely]] {
-      out = blend_lane_faults2(cell, a, b, out);
+      out = blend_lane_faults<2, 1>(cell, a, b, b, LaneDuoT<P>{out, P{}})
+                .out0;
     }
     return out;
   }
@@ -188,7 +190,8 @@ class FaultableUnit {
     P out = a ^ b;
     if (lane_faults_ != nullptr && lane_fault_table<P>()->cell_faulty(cell))
         [[unlikely]] {
-      out = blend_lane_faults2(cell, a, b, out);
+      out = blend_lane_faults<2, 1>(cell, a, b, b, LaneDuoT<P>{out, P{}})
+                .out0;
     }
     return out;
   }
@@ -201,7 +204,8 @@ class FaultableUnit {
     P out = a | b;
     if (lane_faults_ != nullptr && lane_fault_table<P>()->cell_faulty(cell))
         [[unlikely]] {
-      out = blend_lane_faults2(cell, a, b, out);
+      out = blend_lane_faults<2, 1>(cell, a, b, b, LaneDuoT<P>{out, P{}})
+                .out0;
     }
     return out;
   }
@@ -215,7 +219,7 @@ class FaultableUnit {
     LaneDuoT<P> out{a ^ b, a & b};
     if (lane_faults_ != nullptr && lane_fault_table<P>()->cell_faulty(cell))
         [[unlikely]] {
-      out = blend_lane_faults2_duo(cell, a, b, out);
+      out = blend_lane_faults<2, 2>(cell, a, b, b, out);
     }
     return out;
   }
@@ -229,7 +233,8 @@ class FaultableUnit {
     P out = g | (p & c);
     if (lane_faults_ != nullptr && lane_fault_table<P>()->cell_faulty(cell))
         [[unlikely]] {
-      out = blend_lane_faults3(cell, g, p, c, LaneDuoT<P>{out, P{}}).out0;
+      out = blend_lane_faults<3, 1>(cell, g, p, c, LaneDuoT<P>{out, P{}})
+                .out0;
     }
     return out;
   }
@@ -243,7 +248,9 @@ class FaultableUnit {
     P out = (d0 & ~sel) | (d1 & sel);
     if (lane_faults_ != nullptr && lane_fault_table<P>()->cell_faulty(cell))
         [[unlikely]] {
-      out = blend_lane_faults3(cell, d0, d1, sel, LaneDuoT<P>{out, P{}}).out0;
+      out = blend_lane_faults<3, 1>(cell, d0, d1, sel,
+                                    LaneDuoT<P>{out, P{}})
+                .out0;
     }
     return out;
   }
@@ -258,81 +265,43 @@ class FaultableUnit {
     return static_cast<const LaneFaultSetT<P>*>(lane_faults_);
   }
 
-  /// Replace the golden outputs of a 3-input cell on every lane the table
-  /// corrupts. Entries come from the per-cell index, and each is blended
-  /// word-sparsely: an entry's lanes live in the few (usually one) 64-bit
-  /// words where its mask is nonzero, so the faulty LUT is evaluated on
-  /// those words only. That keeps the total faulty-cell cost of a campaign
-  /// independent of the plane width W instead of scaling with it.
-  template <typename P>
-  [[nodiscard]] LaneDuoT<P> blend_lane_faults3(int cell, const P& a,
-                                               const P& b, const P& c,
-                                               LaneDuoT<P> golden) const {
-    const LaneFaultSetT<P>* table = lane_fault_table<P>();
-    for (const std::uint32_t idx : table->cell_entries(cell)) {
-      const auto& e = table->entries()[idx];
-      for (int w = 0; w < PlaneTraits<P>::kWords; ++w) {
-        const std::uint64_t lanes = PlaneTraits<P>::word(e.lanes, w);
-        if (lanes == 0) continue;
-        const std::uint64_t aw = PlaneTraits<P>::word(a, w);
-        const std::uint64_t bw = PlaneTraits<P>::word(b, w);
-        const std::uint64_t cw = PlaneTraits<P>::word(c, w);
-        PlaneTraits<P>::set_word(
-            golden.out0, w,
-            (PlaneTraits<P>::word(golden.out0, w) & ~lanes) |
-                (CellBatch::eval3(e.batch.tt[0], aw, bw, cw) & lanes));
-        PlaneTraits<P>::set_word(
-            golden.out1, w,
-            (PlaneTraits<P>::word(golden.out1, w) & ~lanes) |
-                (CellBatch::eval3(e.batch.tt[1], aw, bw, cw) & lanes));
-      }
-    }
-    return golden;
-  }
-
-  /// Dual-output 2-input twin of blend_lane_faults3 (propagate/generate
-  /// cells).
-  template <typename P>
-  [[nodiscard]] LaneDuoT<P> blend_lane_faults2_duo(int cell, const P& a,
-                                                   const P& b,
-                                                   LaneDuoT<P> golden) const {
-    const LaneFaultSetT<P>* table = lane_fault_table<P>();
-    for (const std::uint32_t idx : table->cell_entries(cell)) {
-      const auto& e = table->entries()[idx];
-      for (int w = 0; w < PlaneTraits<P>::kWords; ++w) {
-        const std::uint64_t lanes = PlaneTraits<P>::word(e.lanes, w);
-        if (lanes == 0) continue;
-        const std::uint64_t aw = PlaneTraits<P>::word(a, w);
-        const std::uint64_t bw = PlaneTraits<P>::word(b, w);
-        PlaneTraits<P>::set_word(
-            golden.out0, w,
-            (PlaneTraits<P>::word(golden.out0, w) & ~lanes) |
-                (CellBatch::eval2(e.batch.tt[0], aw, bw) & lanes));
-        PlaneTraits<P>::set_word(
-            golden.out1, w,
-            (PlaneTraits<P>::word(golden.out1, w) & ~lanes) |
-                (CellBatch::eval2(e.batch.tt[1], aw, bw) & lanes));
-      }
-    }
-    return golden;
-  }
-
-  /// Single-output 2-input twin of blend_lane_faults3.
-  template <typename P>
-  [[nodiscard]] P blend_lane_faults2(int cell, const P& a, const P& b,
-                                     P golden) const {
-    const LaneFaultSetT<P>* table = lane_fault_table<P>();
-    for (const std::uint32_t idx : table->cell_entries(cell)) {
-      const auto& e = table->entries()[idx];
-      for (int w = 0; w < PlaneTraits<P>::kWords; ++w) {
-        const std::uint64_t lanes = PlaneTraits<P>::word(e.lanes, w);
-        if (lanes == 0) continue;
-        const std::uint64_t aw = PlaneTraits<P>::word(a, w);
-        const std::uint64_t bw = PlaneTraits<P>::word(b, w);
-        PlaneTraits<P>::set_word(
-            golden, w,
-            (PlaneTraits<P>::word(golden, w) & ~lanes) |
-                (CellBatch::eval2(e.batch.tt[0], aw, bw) & lanes));
+  /// Replace the golden outputs of a corrupted cell on every armed lane
+  /// the table corrupts there. Per 64-bit word holding any such lane, each
+  /// output's row plane is picked with a mux tree over the input bits (row
+  /// = a | b<<1 | c<<2: two levels for 2-input cells, three for 3-input)
+  /// and merged under that word's mask. The cost is one tree per output
+  /// per touched word, however many faults the cell hosts. `c` is ignored
+  /// for 2-input cells.
+  template <int kInputs, int kOutputs, typename P>
+  [[nodiscard]] LaneDuoT<P> blend_lane_faults(int cell, const P& a,
+                                              const P& b, const P& c,
+                                              LaneDuoT<P> golden) const {
+    static_assert(kInputs == 2 || kInputs == 3);
+    static_assert(kOutputs == 1 || kOutputs == 2);
+    using T = PlaneTraits<P>;
+    const LaneFaultSetT<P>& table = *lane_fault_table<P>();
+    const typename LaneFaultSetT<P>::CellRows& rows = table.rows_of(cell);
+    const auto mux = [](std::uint64_t sel, std::uint64_t x0,
+                        std::uint64_t x1) { return x0 ^ ((x0 ^ x1) & sel); };
+    for (int w = 0; w < T::kWords; ++w) {
+      const std::uint64_t lanes =
+          T::word(rows.lanes, w) & T::word(table.armed(), w);
+      if (lanes == 0) continue;
+      const std::uint64_t aw = T::word(a, w);
+      const std::uint64_t bw = T::word(b, w);
+      for (int o = 0; o < kOutputs; ++o) {
+        const std::array<P, 8>& r = rows.rows[static_cast<std::size_t>(o)];
+        std::uint64_t v =
+            mux(bw, mux(aw, T::word(r[0], w), T::word(r[1], w)),
+                mux(aw, T::word(r[2], w), T::word(r[3], w)));
+        if constexpr (kInputs == 3) {
+          const std::uint64_t hi =
+              mux(bw, mux(aw, T::word(r[4], w), T::word(r[5], w)),
+                  mux(aw, T::word(r[6], w), T::word(r[7], w)));
+          v = mux(T::word(c, w), v, hi);
+        }
+        P& out = o == 0 ? golden.out0 : golden.out1;
+        T::set_word(out, w, mux(lanes, T::word(out, w), v));
       }
     }
     return golden;

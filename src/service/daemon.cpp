@@ -390,6 +390,14 @@ struct CampaignDaemon::Impl {
       const auto it = conns.find(fd);
       if (it != conns.end()) enqueue(it->second, frame);
     }
+    // Workers free the campaign's runner. Frames on one connection arrive
+    // in order, so this follows the campaign's last shard request there.
+    const std::vector<unsigned char> done = encode_frame(
+        MsgType::kCampaignDone,
+        encode_campaign_done(CampaignDonePayload{campaign.id}));
+    for (auto& [fd, conn] : conns) {
+      if (conn.has_setup.erase(campaign.id) > 0) enqueue(conn, done);
+    }
     campaigns.erase(campaign.id);  // campaign is dead past this line
   }
 
@@ -605,6 +613,7 @@ struct CampaignDaemon::Impl {
       case MsgType::kCampaignSetup:
       case MsgType::kShardRequest:
       case MsgType::kShutdown:
+      case MsgType::kCampaignDone:
         // Daemon-to-peer messages arriving AT the daemon: protocol abuse.
         pending_dead.insert(conn.fd);
         break;
@@ -647,6 +656,7 @@ struct CampaignDaemon::Impl {
       const int fd = ::accept(listen_fd, nullptr, nullptr);
       if (fd < 0) break;
       set_nonblocking(fd);
+      if (!listen_addr.is_unix) set_nodelay(fd);
       Connection conn;
       conn.fd = fd;
       conn.last_rx = now_seconds();

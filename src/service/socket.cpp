@@ -142,10 +142,7 @@ int connect_to(const Address& addr, std::string* error) {
     ::close(fd);
     return -1;
   }
-  if (!addr.is_unix) {
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
+  if (!addr.is_unix) set_nodelay(fd);
   return fd;
 }
 
@@ -181,6 +178,11 @@ bool send_all(int fd, std::span<const unsigned char> bytes) {
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+}
+
+void set_nodelay(int fd) {
+  const int one = 1;
+  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 void close_fd(int fd) {

@@ -49,6 +49,9 @@ struct Address {
 [[nodiscard]] bool send_all(int fd, std::span<const unsigned char> bytes);
 
 void set_nonblocking(int fd);
+/// Disable Nagle's algorithm on a TCP socket: the service's small frames
+/// (shard requests, acks) must not wait for delayed ACKs.
+void set_nodelay(int fd);
 void close_fd(int fd);
 
 /// Monotonic wall clock in seconds (steady_clock) — scheduler timeouts

@@ -334,6 +334,20 @@ std::optional<CampaignResponsePayload> decode_campaign_response(
       });
 }
 
+std::vector<unsigned char> encode_campaign_done(
+    const CampaignDonePayload& p) {
+  Writer w;
+  w.u64(p.campaign_id);
+  return std::move(w).take();
+}
+
+std::optional<CampaignDonePayload> decode_campaign_done(
+    std::span<const unsigned char> payload) {
+  return decode_all<CampaignDonePayload>(
+      payload,
+      [](Reader& r, CampaignDonePayload& p) { return r.u64(p.campaign_id); });
+}
+
 std::vector<unsigned char> encode_error(const std::string& msg) {
   Writer w;
   w.str(msg);

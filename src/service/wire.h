@@ -51,7 +51,8 @@ inline constexpr std::uint64_t kWireMagic = 0x0045524957'4B4353ULL;
 /// execution settings, and UnitCoverage::fu_index is an i64.
 /// v5: the options drop the stream mode (every stream is shared).
 /// v6: the Hello drops the ISA string and the unused feature flags.
-inline constexpr std::uint32_t kWireProtocolVersion = 6;
+/// v7: kCampaignDone tells a worker to drop a finished campaign's runner.
+inline constexpr std::uint32_t kWireProtocolVersion = 7;
 
 /// Hard ceiling on one frame's payload. A length prefix beyond this is
 /// rejected from the header alone — a corrupted (or hostile) length can
@@ -74,9 +75,10 @@ enum class MsgType : std::uint32_t {
   kHeartbeat,         ///< worker -> daemon: liveness while idle
   kShutdown,          ///< daemon -> worker: drain and exit gracefully
   kError,             ///< either direction: human-readable failure
+  kCampaignDone,      ///< daemon -> worker: campaign finished, drop its state
 };
 inline constexpr std::uint32_t kMaxMsgType =
-    static_cast<std::uint32_t>(MsgType::kError);
+    static_cast<std::uint32_t>(MsgType::kCampaignDone);
 
 /// One decoded frame: validated type + raw payload bytes.
 struct Frame {
@@ -218,6 +220,16 @@ struct ShardStats {
   friend bool operator==(const ShardStats&, const ShardStats&) = default;
 };
 
+/// daemon -> worker: the campaign is finished. Sent after the campaign's
+/// last shard request on every connection that received its setup, so
+/// the worker can free the campaign's runner.
+struct CampaignDonePayload {
+  std::uint64_t campaign_id = 0;
+
+  friend bool operator==(const CampaignDonePayload&,
+                         const CampaignDonePayload&) = default;
+};
+
 /// daemon -> client: the reduced result (byte-identical to single-host)
 /// plus scheduler telemetry, or ok=false with a reason.
 struct CampaignResponsePayload {
@@ -256,6 +268,11 @@ struct CampaignResponsePayload {
 [[nodiscard]] std::vector<unsigned char> encode_campaign_response(
     const CampaignResponsePayload& p);
 [[nodiscard]] std::optional<CampaignResponsePayload> decode_campaign_response(
+    std::span<const unsigned char> payload);
+
+[[nodiscard]] std::vector<unsigned char> encode_campaign_done(
+    const CampaignDonePayload& p);
+[[nodiscard]] std::optional<CampaignDonePayload> decode_campaign_done(
     std::span<const unsigned char> payload);
 
 [[nodiscard]] std::vector<unsigned char> encode_error(const std::string& msg);

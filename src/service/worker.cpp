@@ -36,9 +36,10 @@ struct WorkerState {
   std::uint64_t worker_id = 0;
   bool acked = false;  ///< HelloAck received on THIS connection
   /// One compiled runner per campaign: plan/cones/golden-trace amortized
-  /// over every shard of that campaign this worker executes. Scoped to
-  /// the CONNECTION — campaign ids restart across daemon incarnations, so
-  /// a runner surviving a reconnect could collide with a fresh id.
+  /// over every shard of that campaign this worker executes, erased when
+  /// the daemon sends kCampaignDone. Scoped to the CONNECTION — campaign
+  /// ids restart across daemon incarnations, so a runner surviving a
+  /// reconnect could collide with a fresh id.
   std::map<std::uint64_t, std::unique_ptr<hls::CampaignSliceRunner>> runners;
   int shards_done = 0;  ///< carried ACROSS reconnects (max_shards budget)
 };
@@ -136,6 +137,13 @@ Loop handle_frame(WorkerState& state, const Frame& frame) {
       return handle_setup(state, frame);
     case MsgType::kShardRequest:
       return handle_shard(state, frame);
+    case MsgType::kCampaignDone: {
+      const std::optional<CampaignDonePayload> done =
+          decode_campaign_done(frame.payload);
+      if (!done.has_value()) return fail(state, "malformed campaign done");
+      state.runners.erase(done->campaign_id);
+      return Loop::kContinue;
+    }
     case MsgType::kShutdown:
       return Loop::kDone;
     case MsgType::kError: {

@@ -25,7 +25,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -41,6 +40,7 @@
 #include "hls/schedule.h"
 #include "hw/batch.h"
 #include "netlist_test_util.h"
+#include "seed_env.h"
 
 namespace sck::hls {
 namespace {
@@ -368,10 +368,8 @@ TEST(BackendDifferential, RotatingSeedFromEnvironment) {
   // usually unset and this test collapses to a second fixed seed. The
   // effective seed is echoed so any failure is reproducible with
   // SCK_FUZZ_SEED=<value> ctest -R test_backend_differential.
-  std::uint64_t seed = 0xD1FFULL;
-  if (const char* env = std::getenv("SCK_FUZZ_SEED")) {
-    seed = std::strtoull(env, nullptr, 10);
-  }
+  const std::uint64_t seed =
+      testing_env::seed_from_env("SCK_FUZZ_SEED", 0xD1FFULL);
   const std::uint64_t mixed = seed * 0x9E3779B97F4A7C15ULL + 0x2026ULL;
   std::cout << "[ SEED     ] SCK_FUZZ_SEED=" << seed << " (mixed: " << mixed
             << ")\n";

@@ -4,6 +4,11 @@
 // drivers must produce bit-identical CampaignResults.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <set>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -267,6 +272,201 @@ TEST(BatchUnits, RestoringDividerLaneExact) {
 }
 TEST(BatchUnits, NonRestoringDividerLaneExact) {
   divider_lane_exact<hw::NonRestoringDivider>();
+}
+
+// ---- per-lane fault tables -------------------------------------------------
+
+/// One unit at plane width P with a lane-fault table: several faults per
+/// cell on disjoint lanes scattered over the plane's 64-bit words (one lane
+/// in eight stays fault-free), random operands per lane. Every lane must
+/// equal the scalar unit carrying that lane's fault, first with every lane
+/// armed, then with a random armed subset, where disarmed lanes must be
+/// golden. Adds the row counts of the corrupted cells to `rows` (4:
+/// 2-input cells, 8: 3-input cells).
+template <typename P, typename Unit, typename ScalarOp, typename BatchOp>
+void expect_lane_faults_exact(Unit& unit, bool skip_b_zero,
+                              const ScalarOp& scalar_op,
+                              const BatchOp& batch_op, std::set<int>& rows) {
+  constexpr int kW = hw::PlaneTraits<P>::kLanes;
+  const int n = unit.width();
+  const Word limit = Word{1} << n;
+  const std::vector<hw::FaultSite> universe = unit.fault_universe();
+  Xoshiro256 rng(0x1A4Eu + static_cast<std::uint64_t>(kW));
+
+  std::vector<int> order(kW);
+  std::iota(order.begin(), order.end(), 0);
+  for (int i = kW - 1; i > 0; --i) {
+    std::swap(order[static_cast<std::size_t>(i)],
+              order[rng.bounded(static_cast<std::uint64_t>(i) + 1)]);
+  }
+  std::vector<std::vector<hw::FaultSite>> by_cell(
+      static_cast<std::size_t>(unit.cell_count()));
+  for (const hw::FaultSite& f : universe) {
+    by_cell[static_cast<std::size_t>(f.cell)].push_back(f);
+  }
+  // Groups of kPerCell lanes share a random cell; each lane of a group
+  // takes the next of that cell's faults.
+  constexpr int kPerCell = 6;
+  std::vector<hw::FaultSite> lane_fault(kW);
+  hw::LaneFaultSetT<P> table(unit.cell_count());
+  std::size_t cell = 0;
+  for (int i = 0; i < kW - kW / 8; ++i) {
+    if (i % kPerCell == 0) cell = rng.bounded(by_cell.size());
+    const std::vector<hw::FaultSite>& faults = by_cell[cell];
+    const hw::FaultSite& f =
+        faults[static_cast<std::size_t>(i % kPerCell) % faults.size()];
+    const int lane = order[static_cast<std::size_t>(i)];
+    lane_fault[static_cast<std::size_t>(lane)] = f;
+    const hw::CellKind kind = unit.cell_kind(f.cell);
+    table.add(f.cell, hw::faulty_cell_lut(kind, f.line, f.stuck_value),
+              hw::plane_bit<P>(lane));
+    rows.insert(hw::cell_rows(kind));
+  }
+
+  for (int round = 0; round < 6; ++round) {
+    P armed = hw::plane_ones<P>();
+    if (round >= 3) {
+      for (int w = 0; w < hw::PlaneTraits<P>::kWords; ++w) {
+        hw::PlaneTraits<P>::set_word(armed, w, rng.next());
+      }
+      table.arm(armed);
+    }
+    std::vector<Word> av(kW);
+    std::vector<Word> bv(kW);
+    for (int lane = 0; lane < kW; ++lane) {
+      av[static_cast<std::size_t>(lane)] = rng.bounded(limit);
+      bv[static_cast<std::size_t>(lane)] =
+          skip_b_zero ? 1 + rng.bounded(limit - 1) : rng.bounded(limit);
+    }
+    unit.clear_fault();
+    unit.set_lane_faults(&table);
+    const auto batched =
+        batch_op(unit, hw::pack<P>(av, n), hw::pack<P>(bv, n));
+    unit.set_lane_faults(nullptr);
+    for (int lane = 0; lane < kW; ++lane) {
+      const bool is_armed = hw::plane_test(armed, lane);
+      const hw::FaultSite site =
+          is_armed ? lane_fault[static_cast<std::size_t>(lane)]
+                   : hw::FaultSite{};
+      unit.set_fault(site);
+      ASSERT_EQ(scalar_op(unit, av[static_cast<std::size_t>(lane)],
+                          bv[static_cast<std::size_t>(lane)]),
+                batched(lane))
+          << "lanes=" << kW << " lane=" << lane << " fault=" << to_string(site)
+          << " armed=" << is_armed;
+    }
+    unit.clear_fault();
+  }
+}
+
+template <typename Unit, typename ScalarOp, typename BatchOp>
+std::set<int> lane_faults_exact_64_and_512(Unit& unit, bool skip_b_zero,
+                                           const ScalarOp& scalar_op,
+                                           const BatchOp& batch_op) {
+  std::set<int> rows;
+  expect_lane_faults_exact<hw::Plane64>(unit, skip_b_zero, scalar_op,
+                                        batch_op, rows);
+  expect_lane_faults_exact<hw::Plane512>(unit, skip_b_zero, scalar_op,
+                                         batch_op, rows);
+  return rows;
+}
+
+/// Add with carry-out and subtract, packed into one value per lane.
+template <typename Adder>
+std::set<int> adder_lane_faults_exact() {
+  Adder adder(4);
+  return lane_faults_exact_64_and_512(
+      adder, false,
+      [](const Adder& u, Word a, Word b) {
+        bool cout = false;
+        const Word s = u.add_c_out(a, b, false, cout);
+        return s | (Word{cout} << 4) | (u.sub(a, b) << 5);
+      },
+      [](const Adder& u, const auto& a, const auto& b) {
+        using P = std::decay_t<decltype(a[0])>;
+        hw::BatchWordT<P> sum;
+        const P cout = u.add_c_batch(a, b, P{}, sum);
+        const hw::BatchWordT<P> diff = u.sub_batch(a, b);
+        return [sum, cout, diff](int lane) {
+          return hw::lane_value(sum, lane, 4) |
+                 (Word{hw::plane_test(cout, lane)} << 4) |
+                 (hw::lane_value(diff, lane, 4) << 5);
+        };
+      });
+}
+
+template <typename Mult>
+std::set<int> multiplier_lane_faults_exact() {
+  Mult mult(4);
+  return lane_faults_exact_64_and_512(
+      mult, false, [](const Mult& u, Word a, Word b) { return u.mul(a, b); },
+      [](const Mult& u, const auto& a, const auto& b) {
+        const auto p = u.mul_batch(a, b);
+        return [p](int lane) { return hw::lane_value(p, lane, 4); };
+      });
+}
+
+template <typename Div>
+std::set<int> divider_lane_faults_exact() {
+  Div divider(4);
+  return lane_faults_exact_64_and_512(
+      divider, /*skip_b_zero=*/true,
+      [](const Div& u, Word a, Word b) {
+        const hw::DivResult d = u.divide(a, b);
+        return d.quotient | (d.remainder << 4);
+      },
+      [](const Div& u, const auto& a, const auto& b) {
+        const auto d = u.divide_batch(a, b);
+        return [d](int lane) {
+          return hw::lane_value(d.quotient, lane, 4) |
+                 (hw::lane_value(d.remainder, lane, 5) << 4);
+        };
+      });
+}
+
+const std::set<int> kTwoAndThreeInputCells = {4, 8};
+
+TEST(LaneFaultTables, RippleCarryAdderLaneExact) {
+  EXPECT_EQ(adder_lane_faults_exact<hw::RippleCarryAdder>(),
+            std::set<int>{8});
+}
+TEST(LaneFaultTables, CarryLookaheadAdderLaneExact) {
+  EXPECT_EQ(adder_lane_faults_exact<hw::CarryLookaheadAdder>(),
+            std::set<int>{4});  // PG, sum, AND and OR cells only
+}
+TEST(LaneFaultTables, CarrySelectAdderLaneExact) {
+  EXPECT_EQ(adder_lane_faults_exact<hw::CarrySelectAdder>().count(8), 1u);
+}
+TEST(LaneFaultTables, CarrySkipAdderLaneExact) {
+  EXPECT_EQ(adder_lane_faults_exact<hw::CarrySkipAdder>().count(8), 1u);
+}
+TEST(LaneFaultTables, ArrayMultiplierLaneExact) {
+  EXPECT_EQ(multiplier_lane_faults_exact<hw::ArrayMultiplier>(),
+            kTwoAndThreeInputCells);
+}
+TEST(LaneFaultTables, CarrySaveMultiplierLaneExact) {
+  EXPECT_EQ(multiplier_lane_faults_exact<hw::CarrySaveMultiplier>(),
+            kTwoAndThreeInputCells);
+}
+TEST(LaneFaultTables, RestoringDividerLaneExact) {
+  EXPECT_EQ(divider_lane_faults_exact<hw::RestoringDivider>().count(8), 1u);
+}
+TEST(LaneFaultTables, NonRestoringDividerLaneExact) {
+  EXPECT_EQ(divider_lane_faults_exact<hw::NonRestoringDivider>().count(8),
+            1u);
+}
+
+TEST(LaneFaultTables, ClearDropsEveryFaultAndRearmsEveryLane) {
+  hw::LaneFaultSetT<hw::Plane512> table(4);
+  table.add(2, hw::faulty_cell_lut(hw::CellKind::kAnd, 0, 1),
+            hw::plane_bit<hw::Plane512>(300));
+  table.arm(hw::plane_bit<hw::Plane512>(7));
+  EXPECT_TRUE(table.cell_faulty(2));
+  EXPECT_FALSE(table.cell_faulty(1));
+  table.clear();
+  EXPECT_TRUE(table.empty());
+  EXPECT_FALSE(table.cell_faulty(2));
+  EXPECT_EQ(table.armed(), hw::plane_ones<hw::Plane512>());
 }
 
 // ---- two-rail checker ------------------------------------------------------

@@ -6,6 +6,8 @@
 // (repeat requests served from cache) and the CampaignSliceRunner
 // slice-composition invariant the whole service rests on.
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
 
 #include <chrono>
 #include <filesystem>
@@ -19,6 +21,8 @@
 #include "netlist_test_util.h"
 #include "service/client.h"
 #include "service/daemon.h"
+#include "service/socket.h"
+#include "service/wire.h"
 #include "service/worker.h"
 
 namespace sck::service {
@@ -436,6 +440,99 @@ TEST(Service, DifferentOptionsMissTheCache) {
   EXPECT_TRUE(hls::same_campaign_result(second->result, want));
 
   fs::remove_all(dir);
+}
+
+// ---- worker state lifetime -------------------------------------------------
+
+/// Next frame from a blocking socket, or nullopt on EOF, a poisoned stream
+/// or no frame before `deadline`.
+[[nodiscard]] std::optional<Frame> recv_frame(
+    int fd, FrameBuffer& in, std::chrono::steady_clock::time_point deadline) {
+  for (;;) {
+    if (std::optional<Frame> frame = in.next()) return frame;
+    if (in.error()) return std::nullopt;
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return std::nullopt;
+    pollfd p{fd, POLLIN, 0};
+    if (::poll(&p, 1, static_cast<int>(left.count())) <= 0) continue;
+    unsigned char chunk[4096];
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) return std::nullopt;
+    in.feed(chunk, static_cast<std::size_t>(n));
+  }
+}
+
+// The daemon tells every worker that received a campaign's setup when the
+// campaign is finished, so the worker can drop that campaign's runner. A
+// fake worker speaking the wire over a raw socket serves the shards and
+// must then receive kCampaignDone naming the campaign it was set up for.
+TEST(Service, WorkerIsToldWhenACampaignIsDone) {
+  const ServiceDesign design;
+  const hls::NetlistCampaignOptions opt = incremental_options();
+  ServiceHarness harness;
+
+  std::string error;
+  const std::optional<Address> addr =
+      parse_address(harness.daemon().address());
+  ASSERT_TRUE(addr.has_value());
+  const int fd = connect_with_retry(*addr, 10.0, &error);
+  ASSERT_GE(fd, 0) << error;
+  HelloPayload hello;
+  hello.worker_name = "raw-worker";
+  hello.native_lanes = 64;
+  ASSERT_TRUE(send_all(fd, encode_frame(MsgType::kHello, encode_hello(hello))));
+
+  std::optional<std::optional<ServiceCampaignResult>> response;
+  std::thread client([&] { response = harness.submit(design, opt); });
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  FrameBuffer in;
+  std::optional<std::uint64_t> setup_id;
+  std::optional<std::uint64_t> done_id;
+  std::unique_ptr<hls::CampaignSliceRunner> runner;
+  while (!done_id.has_value()) {
+    const std::optional<Frame> frame = recv_frame(fd, in, deadline);
+    if (!frame.has_value()) break;
+    if (frame->type == MsgType::kCampaignSetup) {
+      const std::optional<CampaignSetupPayload> setup =
+          decode_campaign_setup(frame->payload);
+      ASSERT_TRUE(setup.has_value());
+      setup_id = setup->campaign_id;
+      runner = std::make_unique<hls::CampaignSliceRunner>(
+          setup->campaign.graph, setup->campaign.netlist,
+          setup->campaign.options);
+    } else if (frame->type == MsgType::kShardRequest) {
+      const std::optional<ShardRequestPayload> req =
+          decode_shard_request(frame->payload);
+      ASSERT_TRUE(req.has_value());
+      ASSERT_NE(runner, nullptr);
+      ShardResultPayload res;
+      res.campaign_id = req->campaign_id;
+      res.shard_id = req->shard_id;
+      res.base = req->base;
+      res.per_job.resize(req->jobs.size());
+      runner->run_slice(req->base, res.per_job.size(), res.per_job);
+      ASSERT_TRUE(send_all(
+          fd, encode_frame(MsgType::kShardResult, encode_shard_result(res))));
+    } else if (frame->type == MsgType::kCampaignDone) {
+      const std::optional<CampaignDonePayload> done =
+          decode_campaign_done(frame->payload);
+      ASSERT_TRUE(done.has_value());
+      done_id = done->campaign_id;
+    }
+  }
+  client.join();
+  close_fd(fd);
+
+  ASSERT_TRUE(response.has_value() && response->has_value());
+  EXPECT_TRUE(hls::same_campaign_result(
+      (*response)->result,
+      run_netlist_campaign(design.graph, design.netlist, opt)));
+  ASSERT_TRUE(setup_id.has_value());
+  ASSERT_TRUE(done_id.has_value()) << "no kCampaignDone frame arrived";
+  EXPECT_EQ(*done_id, *setup_id);
 }
 
 // ---- the slice-composition invariant ---------------------------------------

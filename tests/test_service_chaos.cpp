@@ -25,6 +25,7 @@
 #include "hls/builder.h"
 #include "hls/netlist_campaign.h"
 #include "netlist_test_util.h"
+#include "seed_env.h"
 #include "service/chaos.h"
 #include "service/client.h"
 #include "service/daemon.h"
@@ -36,16 +37,15 @@ namespace {
 namespace fs = std::filesystem;
 
 [[nodiscard]] std::uint64_t base_seed() {
-  if (const char* s = std::getenv("SCK_CHAOS_SEED")) {
-    const std::uint64_t seed = std::strtoull(s, nullptr, 10);
-    if (seed != 0) return seed;
-  }
-  return 1;
+  const std::uint64_t seed = testing_env::seed_from_env("SCK_CHAOS_SEED", 1);
+  return seed != 0 ? seed : 1;
 }
 
 // ---- env-knob parsing ------------------------------------------------------
 
 TEST(ChaosEnv, WellFormedSpecsInstall) {
+  const testing_env::ScopedEnv keep_spec("SCK_CHAOS");
+  const testing_env::ScopedEnv keep_seed("SCK_CHAOS_SEED");
   ASSERT_EQ(setenv("SCK_CHAOS", "corrupt=5,drop=2,max_delay_ms=0", 1), 0);
   ASSERT_EQ(setenv("SCK_CHAOS_SEED", "42", 1), 0);
   EXPECT_TRUE(install_chaos_from_env());
@@ -64,6 +64,8 @@ TEST(ChaosEnv, MalformedSpecsAbortInsteadOfRunningChaosOff) {
   // The one failure mode a fault-injection harness must not have: a typo'd
   // rate silently parsing to 0 (the old std::atoi behaviour) and the chaos
   // suite passing with the injection OFF.
+  const testing_env::ScopedEnv keep_spec("SCK_CHAOS");
+  const testing_env::ScopedEnv keep_seed("SCK_CHAOS_SEED");
   for (const char* bad :
        {"corrupt=lots", "corrupt", "corupt=5", "drop=", "drop=-1",
         "corrupt=5,drop=oops", "delay=3ms"}) {

@@ -134,6 +134,20 @@ TEST(WireCodec, HelloAckRoundtrip) {
   EXPECT_EQ(*got, a);
 }
 
+TEST(WireCodec, CampaignDoneRoundtrip) {
+  const CampaignDonePayload d{0x0123'4567'89AB'CDEFULL};
+  const std::vector<unsigned char> payload = encode_campaign_done(d);
+  EXPECT_EQ(payload.size(), 8u);
+  const std::optional<CampaignDonePayload> got = decode_campaign_done(payload);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, d);
+  const std::optional<Frame> frame =
+      decode_frame(encode_frame(MsgType::kCampaignDone, payload));
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->type, MsgType::kCampaignDone);
+  EXPECT_EQ(frame->payload, payload);
+}
+
 TEST(WireCodec, ShardResultRoundtrip) {
   const ShardResultPayload r = sample_shard_result();
   const std::optional<ShardResultPayload> got =
@@ -430,6 +444,16 @@ TEST(WirePayload, TruncatedPayloadsRejected) {
   for (std::size_t n = 0; n < hello.size(); ++n) {
     EXPECT_FALSE(decode_hello({hello.data(), n}).has_value());
   }
+}
+
+TEST(WirePayload, CampaignDoneTruncatedOrExtendedRejected) {
+  std::vector<unsigned char> payload = encode_campaign_done({7});
+  for (std::size_t n = 0; n < payload.size(); ++n) {
+    EXPECT_FALSE(decode_campaign_done({payload.data(), n}).has_value())
+        << "truncated payload of " << n << " bytes deserialized";
+  }
+  payload.push_back(0);
+  EXPECT_FALSE(decode_campaign_done(payload).has_value());
 }
 
 // A hostile count prefix inside a payload (e.g. "4 billion per-job stats
