@@ -1,8 +1,8 @@
 // Ablation: class-based vs embedded CED insertion as the design scales.
 //
-// DESIGN.md calls out the modeling decision behind Table 3's area gap: the
-// class-based style gives every operator instance a private check cluster
-// (no cross-instance sharing), while the embedded style merges adder-tree
+// One modeling decision lies behind Table 3's area gap: the class-based
+// style gives every operator instance a private check cluster (no
+// cross-instance sharing), while the embedded style merges adder-tree
 // checks and shares the existing units. This bench sweeps the FIR tap count
 // and reports how the two styles scale in area and schedule length.
 #include <iostream>

@@ -165,10 +165,10 @@ int main() {
       << "   operator (q/r trade-off masking), combining both controls\n"
       << "   dominates either alone, and every technique sits in the\n"
       << "   90s. Absolute percentages depend on the gate-level netlist\n"
-      << "   of the cells (see EXPERIMENTS.md).\n"
+      << "   of the cells (see src/hw/cell.h).\n"
       << " * In our model Div Tech1 and Tech2 coincide exactly: both test\n"
       << "   the same identity a == q*b + r, and only divider faults can\n"
-      << "   mask it, so the masked sets are identical (EXPERIMENTS.md).\n"
+      << "   mask it, so the masked sets are identical.\n"
       << " * Residue3 catching 100% on + and - is the classic residue-code\n"
       << "   result: a single faulty cell perturbs the sum by +/-2^i, which\n"
       << "   is never divisible by 3.\n";

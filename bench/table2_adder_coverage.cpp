@@ -147,7 +147,6 @@ int main() {
   std::cout << "\nNote: the paper's n=4 fault-situation count (7,808) and"
             << "\nn=16 count (6*2^30) deviate from its own formula"
             << "\n32*n*2^(2n); we follow the formula for exhaustive widths"
-            << "\nand report the sampled trial count for n=16 (see"
-            << "\nEXPERIMENTS.md).\n";
+            << "\nand report the sampled trial count for n=16.\n";
   return 0;
 }

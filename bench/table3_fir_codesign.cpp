@@ -7,7 +7,7 @@
 //
 // The paper's testbed was OFFIS SystemC-Plus -> Synopsys CoCentric -> a
 // Xilinx device, and a 2005-era g++ host; we regenerate the table's *shape*
-// (who costs what relative to whom) — see EXPERIMENTS.md for the mapping.
+// (who costs what relative to whom).
 //
 // Usage: ./table3_fir_codesign [json_path] [sw_samples]
 #include <iostream>

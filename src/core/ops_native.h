@@ -11,7 +11,7 @@
 // All arithmetic is performed on the unsigned companion type so wrap-around
 // is well-defined; the inverse-operation identities hold exactly in the
 // 2^N ring, so checks never false-alarm on overflow (the paper handles
-// overflow "separately" — see DESIGN.md).
+// overflow "separately").
 #pragma once
 
 #include <cstdint>

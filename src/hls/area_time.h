@@ -7,8 +7,7 @@
 // interconnect + setup). Constants are calibrated to land the plain 8-tap
 // 16-bit FIR near the paper's 412 slices / 20 MHz; what the experiments
 // then compare is the *relative* cost of the self-checking variants, which
-// is where the model's value lies (see EXPERIMENTS.md for the calibration
-// discussion).
+// is where the model's value lies.
 #pragma once
 
 #include <string>

@@ -282,7 +282,8 @@ Dfg insert_ced(const Dfg& g, const CedOptions& options) {
         // most expensive unit — which neither the embedded FIR's area nor
         // its software overhead in Table 3 can accommodate. This is the
         // coverage/cost trade-off the paper's §5.1 leaves to the designer;
-        // EXPERIMENTS.md quantifies the coverage gap.
+        // the explorer's coverage leg measures the gap per design (README,
+        // "The kernel-generic co-design explorer").
         if (options.style == CedStyle::kEmbedded) break;
         const int group = group_for();
         emit.emit_mul(nid, n.ins[0], n.ins[1], n.width, options.mul, group);

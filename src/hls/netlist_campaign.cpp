@@ -66,17 +66,37 @@ template <typename P>
   return diff;
 }
 
-/// Plane width of one run_jobs call: halve the campaign's maximum width
-/// while the call has fewer batches than workers, down to 64 lanes. A
-/// small call (a sampled block, a service shard) then gives every thread a
-/// batch, and each narrower batch replays a narrower union cone. Per-job
-/// stats are lane-width invariant, so the result bytes cannot move.
+/// Plane width of one run_jobs call: with several workers, halve the
+/// campaign's maximum width while the call has fewer than two batches per
+/// worker, down to 64 lanes. A small call (a sampled block) then gives
+/// every thread two batches off the shared cursor, so the others can take
+/// a stalled thread's second batch, and each narrower batch replays a
+/// narrower union cone. One worker keeps the full width. Per-job stats are
+/// lane-width invariant, so the result bytes cannot move.
 [[nodiscard]] int call_lanes(int max_lanes, std::size_t jobs, int threads) {
   const auto workers = static_cast<std::size_t>(fault::resolve_threads(threads));
+  const std::size_t want = workers > 1 ? 2 * workers : 1;
   auto lanes = static_cast<std::size_t>(max_lanes);
-  while (lanes > 64 && (jobs + lanes - 1) / lanes < workers) lanes /= 2;
+  while (lanes > 64 && (jobs + lanes - 1) / lanes < want) lanes /= 2;
   return static_cast<int>(lanes);
 }
+
+/// The lanes of one batch of a run_jobs call. The call's jobs are batched
+/// in `order` (caller slots in ascending job id; empty when the ids already
+/// ascend, i.e. the identity), so lane L runs job ids[slot(L)] and writes
+/// out[slot(L)]: batch b covers positions [at, at + count) of that order.
+struct BatchLanes {
+  std::span<const std::uint64_t> ids;
+  std::span<const std::size_t> order;
+  std::size_t at = 0;
+  int count = 0;
+
+  [[nodiscard]] std::size_t slot(int lane) const {
+    const std::size_t i = at + static_cast<std::size_t>(lane);
+    return order.empty() ? i : order[i];
+  }
+  [[nodiscard]] std::uint64_t id(int lane) const { return ids[slot(lane)]; }
+};
 
 /// Lanes of `got` that differ from the reference outputs of sample `k`
 /// (`want_values`, samples x outputs), the error output excluded: the
@@ -151,34 +171,32 @@ fault::CampaignStats run_one_fault(NetlistSim& sim,
   return stats;
 }
 
-/// One W-fault batch on the bit-plane backend over an arbitrary job-id
-/// list: lane L runs job ids[at + L] on the shared stream broadcast to
-/// every lane, classified against the reference outputs `want_values`.
-/// Stuck-at lanes are re-armed per sample from the duration model (pure
-/// hash of the global id, so the armed pattern is grouping-invariant) and
-/// SEU lanes flip their register bit at their hash-derived sample. Writes
-/// each lane's stats into out[at + L] — per-lane classification is exactly
-/// the scalar classify(), so the slot contents match run_one_fault bit for
-/// bit at every lane width and every id grouping.
+/// One W-fault batch on the bit-plane backend: lane L runs job `b.id(L)`
+/// on the shared stream broadcast to every lane, classified against the
+/// reference outputs `want_values`. Stuck-at lanes are re-armed per sample
+/// from the duration model (pure hash of the global id, so the armed
+/// pattern is grouping-invariant) and SEU lanes flip their register bit at
+/// their hash-derived sample. Writes each lane's stats into out[b.slot(L)]
+/// — per-lane classification is exactly the scalar classify(), so the slot
+/// contents match run_one_fault bit for bit at every lane width and every
+/// id grouping.
 template <typename P>
 void run_fault_batch(const Dfg& graph, NetlistBatchSimT<P>& sim,
                      std::span<const Word> shared_stream,
                      std::span<const Word> want_values,
-                     std::span<const FaultJob> jobs,
-                     std::span<const std::uint64_t> ids, std::size_t at,
+                     std::span<const FaultJob> jobs, const BatchLanes& b,
                      const NetlistCampaignOptions& options,
                      std::span<fault::CampaignStats> out) {
   const Netlist& netlist = sim.netlist();
   const std::int32_t error_output = sim.plan().error_output;
   const std::size_t num_inputs = graph.inputs().size();
-  const int lanes = static_cast<int>(std::min<std::size_t>(
-      hw::PlaneTraits<P>::kLanes, ids.size() - at));
+  const int lanes = b.count;
 
   sim.clear_lane_faults();
   P stuck_lanes{};
   bool any_seu = false;
   for (int lane = 0; lane < lanes; ++lane) {
-    const FaultJob& job = jobs[ids[at + static_cast<std::size_t>(lane)]];
+    const FaultJob& job = jobs[b.id(lane)];
     if (job.kind == FaultKind::kSeu) {
       any_seu = true;  // flips are applied per sample below
     } else {
@@ -199,7 +217,7 @@ void run_fault_batch(const Dfg& graph, NetlistBatchSimT<P>& sim,
     if (options.duration != fault::FaultDuration::kPermanent) {
       P armed{};
       for (int lane = 0; lane < lanes; ++lane) {
-        const std::uint64_t gi = ids[at + static_cast<std::size_t>(lane)];
+        const std::uint64_t gi = b.id(lane);
         if (jobs[gi].kind != FaultKind::kSeu &&
             fault_active_at(options, gi, k)) {
           armed |= hw::plane_bit<P>(lane);
@@ -213,7 +231,7 @@ void run_fault_batch(const Dfg& graph, NetlistBatchSimT<P>& sim,
     }
     if (any_seu) {
       for (int lane = 0; lane < lanes; ++lane) {
-        const std::uint64_t gi = ids[at + static_cast<std::size_t>(lane)];
+        const std::uint64_t gi = b.id(lane);
         const FaultJob& job = jobs[gi];
         if (job.kind == FaultKind::kSeu && seu_flip_sample(options, gi) == k) {
           sim.flip_register_bit(static_cast<int>(job.fu), job.seu_bit,
@@ -236,16 +254,16 @@ void run_fault_batch(const Dfg& graph, NetlistBatchSimT<P>& sim,
             : P{};
     const fault::LaneVerdictT<P> verdict{erroneous, detected};
     for (int lane = 0; lane < lanes; ++lane) {
-      out[at + static_cast<std::size_t>(lane)].record(
-          fault::lane_outcome(verdict, lane));
+      out[b.slot(lane)].record(fault::lane_outcome(verdict, lane));
     }
   }
 }
 
-/// One W-fault batch on the incremental backend over an arbitrary job-id
-/// list: replay the union fan-out cone of the batch's faults over the
-/// precomputed golden trace, classifying against the scalar reference
-/// outputs `want_values` (samples x outputs). Duration-model extensions:
+/// One W-fault batch on the incremental backend (lanes as in
+/// run_fault_batch): replay the union fan-out cone of the batch's faults
+/// over the precomputed golden trace, classifying against the scalar
+/// reference outputs `want_values` (samples x outputs). Duration-model
+/// extensions:
 ///   - samples before the batch's earliest possible divergence (the
 ///     minimum first_active_sample over its lanes) are not simulated at
 ///     all — every lane is provably golden there, so the precomputed
@@ -264,21 +282,20 @@ void run_incremental_batch(NetlistIncrementalSimT<P>& sim,
                            std::span<const Word> want_values,
                            std::span<const fault::Outcome> golden_outcome,
                            std::span<const FaultJob> jobs,
-                           std::span<const std::uint64_t> ids, std::size_t at,
+                           const BatchLanes& b,
                            const NetlistCampaignOptions& options,
                            std::span<fault::CampaignStats> out) {
   const ExecPlan& plan = sim.plan();
   const std::int32_t error_output = plan.error_output;
   const std::size_t num_outputs = plan.outputs.size();
-  const int lanes = static_cast<int>(std::min<std::size_t>(
-      hw::PlaneTraits<P>::kLanes, ids.size() - at));
+  const int lanes = b.count;
 
   sim.clear_lane_faults();
   P stuck_lanes{};
   bool any_seu = false;
   int start_k = options.samples_per_fault;
   for (int lane = 0; lane < lanes; ++lane) {
-    const std::uint64_t gi = ids[at + static_cast<std::size_t>(lane)];
+    const std::uint64_t gi = b.id(lane);
     const FaultJob& job = jobs[gi];
     if (job.kind == FaultKind::kSeu) {
       sim.add_lane_seu(static_cast<int>(job.fu), job.seu_bit,
@@ -297,7 +314,7 @@ void run_incremental_batch(NetlistIncrementalSimT<P>& sim,
   // precomputed fault-free outcome of each sample without simulating.
   for (int k = 0; k < start_k; ++k) {
     for (int lane = 0; lane < lanes; ++lane) {
-      out[at + static_cast<std::size_t>(lane)].record(golden_outcome[k]);
+      out[b.slot(lane)].record(golden_outcome[k]);
     }
   }
   if (start_k >= options.samples_per_fault) return;
@@ -310,7 +327,7 @@ void run_incremental_batch(NetlistIncrementalSimT<P>& sim,
     if (options.duration != fault::FaultDuration::kPermanent) {
       P armed{};
       for (int lane = 0; lane < lanes; ++lane) {
-        const std::uint64_t gi = ids[at + static_cast<std::size_t>(lane)];
+        const std::uint64_t gi = b.id(lane);
         if (jobs[gi].kind != FaultKind::kSeu &&
             fault_active_at(options, gi, k)) {
           armed |= hw::plane_bit<P>(lane);
@@ -323,7 +340,7 @@ void run_incremental_batch(NetlistIncrementalSimT<P>& sim,
     }
     if (any_seu) {
       for (int lane = 0; lane < lanes; ++lane) {
-        const std::uint64_t gi = ids[at + static_cast<std::size_t>(lane)];
+        const std::uint64_t gi = b.id(lane);
         const FaultJob& job = jobs[gi];
         if (job.kind == FaultKind::kSeu && seu_flip_sample(options, gi) == k) {
           sim.flip_register_bit(static_cast<int>(job.fu), job.seu_bit,
@@ -342,8 +359,7 @@ void run_incremental_batch(NetlistIncrementalSimT<P>& sim,
     const fault::LaneVerdictT<P> verdict{erroneous, detected};
     for (int lane = 0; lane < lanes; ++lane) {
       if (hw::plane_test(active, lane)) {
-        out[at + static_cast<std::size_t>(lane)].record(
-            fault::lane_outcome(verdict, lane));
+        out[b.slot(lane)].record(fault::lane_outcome(verdict, lane));
       }
     }
 
@@ -651,6 +667,18 @@ void CampaignSliceRunner::run_jobs(std::span<const std::uint64_t> ids,
     return;
   }
 
+  // Batch the call in ascending job id. Job ids are unit-major (see
+  // enumerate_fault_jobs), so a batch of a permuted call then holds few
+  // units and replays a narrow union cone; per-job slots do not depend on
+  // the grouping. Ascending calls (every run_slice) batch as given.
+  std::vector<std::size_t> order;
+  if (!std::is_sorted(ids.begin(), ids.end())) {
+    order.resize(ids.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) { return ids[a] < ids[b]; });
+  }
+
   // Shard W-fault batches at this call's width (call_lanes). The lane width
   // only sizes the batches — per-job slots and the job-order reduction are
   // width-invariant. Each worker owns a simulator over the shared plan.
@@ -658,13 +686,17 @@ void CampaignSliceRunner::run_jobs(std::span<const std::uint64_t> ids,
   hw::dispatch_plane(lanes, [&]<typename P>(std::type_identity<P>) {
     constexpr std::size_t kW = hw::PlaneTraits<P>::kLanes;
     const std::size_t batches = (ids.size() + kW - 1) / kW;
+    const auto batch = [&](std::size_t b) {
+      return BatchLanes{ids, order, b * kW,
+                        static_cast<int>(std::min(kW, ids.size() - b * kW))};
+    };
     if (options.backend == NetlistBackend::kBatched) {
       fault::parallel_shard(
           batches, options.threads,
           [&im] { return NetlistBatchSimT<P>(im.plan); },
           [&](NetlistBatchSimT<P>& sim, std::size_t b) {
             run_fault_batch(im.graph, sim, im.shared_stream, im.want_values,
-                            jobs, ids, b * kW, options, out);
+                            jobs, batch(b), options, out);
           });
     } else {
       fault::parallel_shard(
@@ -672,7 +704,7 @@ void CampaignSliceRunner::run_jobs(std::span<const std::uint64_t> ids,
           [&im] { return NetlistIncrementalSimT<P>(im.plan, *im.cones); },
           [&](NetlistIncrementalSimT<P>& sim, std::size_t b) {
             run_incremental_batch<P>(sim, im.trace, im.want_values,
-                                     im.golden_outcome, jobs, ids, b * kW,
+                                     im.golden_outcome, jobs, batch(b),
                                      options, out);
           });
     }
@@ -719,9 +751,9 @@ SampledNetlistCampaignResult run_sampled_netlist_campaign(
   SampledNetlistCampaignResult report;
   report.universe_jobs = universe;
 
-  // Blocks run sequentially. A block smaller than threads x lanes runs on
-  // narrower planes (run_jobs halves the width until every thread has a
-  // batch), so even one block fills options.threads. The stop decision
+  // Blocks run sequentially. A block smaller than 2 x threads x lanes runs
+  // on narrower planes (run_jobs halves the width until every thread has
+  // two batches), so even one block fills options.threads. The stop decision
   // fires ONLY at block boundaries on the prefix evaluated so far, so
   // every thread/lane/backend configuration stops after the same number
   // of jobs.

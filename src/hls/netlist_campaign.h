@@ -25,10 +25,10 @@
 //                 its ≤W faulted FUs, splicing everything else from the
 //                 golden trace.
 // The maximum lane width W is resolved once per campaign (options.lanes,
-// else hw::kDefaultLanes — see hw::resolve_lanes); a call with fewer
-// than threads x W jobs runs on narrower planes, halving down to 64 lanes
-// until every thread has a batch. The width only changes
-// how faults are grouped into batches: per-fault stats land in
+// else hw::kDefaultLanes — see hw::resolve_lanes); with several threads,
+// a call with fewer than 2 x threads x W jobs runs on narrower planes,
+// halving down to 64 lanes until every thread has two batches. The width
+// only changes how faults are grouped into batches: per-fault stats land in
 // job-indexed slots reduced in fault-index order, so the result is
 // bit-identical for ANY backend, lane width and thread count
 // (tests/test_netlist_batch.cpp, tests/test_netlist_incremental.cpp and
@@ -227,8 +227,9 @@ class CampaignSliceRunner {
   /// enumerate_fault_jobs of the wrapped netlist, cached.
   [[nodiscard]] const std::vector<FaultJob>& jobs() const;
   /// The maximum bit-plane width this runner resolved (hw::resolve_lanes
-  /// applied to options.lanes once at construction). A call with fewer
-  /// than threads x lanes() jobs runs on narrower planes (see run_jobs).
+  /// applied to options.lanes once at construction). A multi-threaded
+  /// call with fewer than 2 x threads x lanes() jobs runs on narrower
+  /// planes (see run_jobs).
   [[nodiscard]] int lanes() const;
 
   /// Evaluate jobs [base, base + count) into out[0..count). Shards the
@@ -241,9 +242,13 @@ class CampaignSliceRunner {
   /// Evaluate an arbitrary job-index list: out[i] receives the stats of
   /// global job ids[i]. run_slice is the contiguous special case; the
   /// sampled-campaign engine feeds permuted prefixes through this. The
-  /// plane backends start at lanes() and halve the width (down to 64)
-  /// while the call has fewer batches than threads, so a small call still
-  /// fills options.threads; out is identical at every width.
+  /// plane backends batch a permuted call in ascending job id, which is
+  /// (unit, cell) order, so each batch replays the union cone of few units;
+  /// an ascending call batches as given, with no extra allocation. They
+  /// start at lanes() and, with several threads, halve the width (down to
+  /// 64) while the call has fewer than two batches per thread, so a small
+  /// call still fills options.threads. out is identical at every width and
+  /// every order.
   void run_jobs(std::span<const std::uint64_t> ids,
                 std::span<fault::CampaignStats> out) const;
 

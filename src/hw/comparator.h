@@ -6,7 +6,7 @@
 // (TSC) two-rail structures whose own faults are detected by construction;
 // that literature is orthogonal to this paper, whose fault model places the
 // failure in one arithmetic functional unit. We therefore model comparators
-// as fault-free, and document the assumption here and in DESIGN.md.
+// as fault-free, and document the assumption here.
 #pragma once
 
 #include "common/word.h"

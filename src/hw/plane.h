@@ -237,9 +237,10 @@ inline constexpr int kDefaultLanes = 512;
 /// supported width exactly — silently snapping 100 lanes to 128 would
 /// misreport what was measured.
 ///
-/// The netlist campaign engine treats the result as a maximum: a call with
-/// fewer than threads x lanes jobs runs on narrower planes so every thread
-/// gets a batch (hls::CampaignSliceRunner::run_jobs).
+/// The netlist campaign engine treats the result as a maximum: a
+/// multi-threaded call with fewer than 2 x threads x lanes jobs runs on
+/// narrower planes so every thread gets two batches
+/// (hls::CampaignSliceRunner::run_jobs).
 [[nodiscard]] inline int resolve_lanes(int requested) {
   if (requested <= 0) return kDefaultLanes;
   SCK_EXPECTS(lanes_supported(requested));

@@ -522,12 +522,12 @@ TEST(KernelRegistry, UnknownNameFailsWithRegisteredListing) {
   KernelRegistry reg;
   reg.add(make_fir_kernel({1, 2, 3}));
   reg.add(make_moving_sum_kernel(4));
-  EXPECT_DEATH(reg.at("fir_typo"),
+  EXPECT_DEATH((void)reg.at("fir_typo"),
                "unknown kernel \"fir_typo\"; registered kernels: fir "
                "moving_sum");
   // An empty registry says so instead of listing nothing.
   const KernelRegistry empty;
-  EXPECT_DEATH(empty.at("fir"), "registered kernels: \\(none\\)");
+  EXPECT_DEATH((void)empty.at("fir"), "registered kernels: \\(none\\)");
 }
 
 // ---- SW legs (widened accumulation, satellite UB audit) -------------------

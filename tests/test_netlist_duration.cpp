@@ -16,9 +16,10 @@
 //     block boundary regardless of thread count, report a sane Wilson
 //     interval, and reduce to EXACTLY the exhaustive result when the
 //     whole universe is evaluated.
-//  4. NARROWING: a run_jobs call too small to give every thread a batch
-//     runs on narrower planes; per-job stats and the sampled results pinned
-//     before narrowing existed must not move.
+//  4. NARROWING: a run_jobs call too small to give every thread two
+//     batches runs on narrower planes, and a permuted call is batched in
+//     ascending job id; per-job stats and the sampled results pinned
+//     before either existed must not move.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -378,7 +379,7 @@ struct NarrowingDesign {
 }
 
 TEST(PlaneNarrowing, RunJobsMatchesOneThreadAtEverySizeWidthAndThreadCount) {
-  // A call with fewer jobs than threads x lanes runs on narrower planes;
+  // A call with fewer jobs than 2 x threads x lanes runs on narrower planes;
   // per-job stats must not move. threads = 1 never narrows, so it is the
   // wide-plane reference at each explicit width.
   const NarrowingDesign d;
@@ -428,11 +429,61 @@ TEST(PlaneNarrowing, RunJobsMatchesOneThreadAtEverySizeWidthAndThreadCount) {
   }
 }
 
+TEST(PlaneNarrowing, ShuffledRunJobsMatchesTheWholeSliceAtEachJobsId) {
+  // A permuted call is batched in ascending job id and its stats are
+  // scattered back to the caller's slots. The reference is one contiguous
+  // run_slice over the universe, which batches as given, so a wrong
+  // scatter shows as a slot holding another job's stats. The list mixes a
+  // shuffled prefix, duplicate ids and a descending run.
+  const NarrowingDesign d;
+  std::vector<NetlistCampaignOptions> configs = narrowing_configs();
+  NetlistCampaignOptions dropping = incremental_options(/*samples=*/4, 0xF0);
+  dropping.fault_dropping = true;
+  configs.push_back(dropping);
+  for (NetlistCampaignOptions opt : configs) {
+    opt.lanes = 64;
+    opt.threads = 1;
+    const CampaignSliceRunner whole(d.graph, d.netlist, opt);
+    const std::size_t universe = whole.jobs().size();
+    ASSERT_GT(universe, 700u);
+    std::vector<fault::CampaignStats> want(universe);
+    whole.run_slice(0, universe, want);
+
+    std::vector<std::uint64_t> perm(universe);
+    std::iota(perm.begin(), perm.end(), std::uint64_t{0});
+    Xoshiro256 rng(0x5CA7);
+    for (std::size_t i = universe; i > 1; --i) {
+      std::swap(perm[i - 1], perm[static_cast<std::size_t>(rng.bounded(i))]);
+    }
+    std::vector<std::uint64_t> ids(perm.begin(), perm.begin() + 600);
+    ids.insert(ids.end(), perm.begin(), perm.begin() + 40);
+    for (std::uint64_t id = 500; id > 300; --id) ids.push_back(id);
+    ASSERT_FALSE(std::is_sorted(ids.begin(), ids.end()));
+
+    for (const int lanes : {64, 512}) {
+      for (const int threads : {1, 4}) {
+        opt.lanes = lanes;
+        opt.threads = threads;
+        const CampaignSliceRunner runner(d.graph, d.netlist, opt);
+        std::vector<fault::CampaignStats> got(ids.size());
+        runner.run_jobs(ids, got);
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+          ASSERT_EQ(got[i], want[ids[i]])
+              << "backend " << static_cast<int>(opt.backend) << " duration "
+              << static_cast<int>(opt.duration) << " dropping "
+              << opt.fault_dropping << " lanes " << lanes << " threads "
+              << threads << " slot " << i << " job " << ids[i];
+        }
+      }
+    }
+  }
+}
+
 TEST(PlaneNarrowing, SampledCampaignMatchesPinsAtEveryBlockAndThreadCount) {
   // Captured before plane narrowing landed: intermittent stuck-ats plus
   // SEUs at an explicit 512 lanes. At 4 threads every block below narrows
-  // (64 and 256 jobs to 64 lanes, 512 to 128, 1000 to 256); the sampled
-  // prefix and its reduction must not move.
+  // (64, 256 and 512 jobs to 64 lanes, 1000 to 128); the sampled prefix
+  // and its reduction must not move.
   struct Pin {
     std::size_t block;
     std::uint64_t sampled_jobs;

@@ -101,7 +101,7 @@ TEST(DivTrial, MaskingComesFromQrTradeoffOnly) {
 
 TEST(DivTrial, Tech1AndTech2MaskIdentically) {
   // Both controls test the same identity a == q*b + r, so the masked sets
-  // coincide in our model (documented in EXPERIMENTS.md).
+  // coincide in our model.
   const int n = 4;
   RestoringDivider divider(n);
   ArrayMultiplier mult(n);
