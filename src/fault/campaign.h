@@ -14,6 +14,7 @@
 //    (the paper's 16-bit row); bit-reproducible via the explicit seed.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -109,9 +110,9 @@ inline std::vector<UniverseEntry> enumerate_universe(
 }
 
 // The exhaustive-sweep building blocks shared by the sequential drivers
-// here and the parallel drivers in fault/parallel.h. Keeping validation,
+// here and the parallel driver in fault/parallel.h. Keeping validation,
 // fault collapsing and the per-fault sweep in one place is what lets the
-// four run_exhaustive* entry points stay bit-identical by construction.
+// three run_exhaustive* entry points stay bit-identical by construction.
 
 /// Fault-free validation sweep, scalar: every trial must be silent.
 /// Returns the trial count per fault.
@@ -167,7 +168,8 @@ CampaignStats sweep_fault_scalar(hw::FaultableUnit& unit,
   return fs;
 }
 
-/// One fault's exhaustive statistics, batched path.
+/// One fault's exhaustive statistics, batched path: the fault sits on
+/// every lane of a lane-fault table installed for the sweep.
 template <typename P, typename BatchTrial>
 CampaignStats sweep_fault_batched(hw::FaultableUnit& unit,
                                   const hw::FaultSite& site, bool excitable,
@@ -179,12 +181,13 @@ CampaignStats sweep_fault_batched(hw::FaultableUnit& unit,
     fs.silent_correct = inputs_per_fault;
     return fs;
   }
-  unit.set_fault(site);
+  hw::LaneFaultSetT<P> table(unit.cell_count());
+  hw::install_lane_fault(unit, table, site, hw::plane_ones<P>());
   for (std::uint64_t k = 0; k < plan.batches(); ++k) {
     const LaneBatchT<P> in = plan.batch(k);
     record_lanes(fs, trial(in.a, in.b), in.valid);
   }
-  unit.clear_fault();
+  unit.set_lane_faults(nullptr);
   return fs;
 }
 
@@ -236,7 +239,6 @@ CampaignResult run_exhaustive_batched(
     const BatchTrial& trial, const CampaignOptions& opt = {}) {
   SCK_EXPECTS(!units.empty());
   SCK_EXPECTS(width >= 1 && width <= 16);
-  detail::clear_all(units);
 
   const int lanes = hw::resolve_lanes(opt.lanes);
   return hw::dispatch_plane(lanes, [&]<typename P>(std::type_identity<P>) {
@@ -318,7 +320,6 @@ CampaignResult run_sampled_batched(std::span<hw::FaultableUnit* const> units,
                                    const CampaignOptions& opt = {}) {
   SCK_EXPECTS(!units.empty());
   SCK_EXPECTS(width >= 1 && width <= kMaxWidth);
-  detail::clear_all(units);
 
   const std::vector<detail::UniverseEntry> universe =
       detail::enumerate_universe(units);
@@ -328,6 +329,10 @@ CampaignResult run_sampled_batched(std::span<hw::FaultableUnit* const> units,
   Xoshiro256 rng(seed);
   const Word limit = Word{1} << width;
   const int lanes = hw::resolve_lanes(opt.lanes);
+  int max_cells = 0;  // one lane-fault table serves every unit
+  for (const hw::FaultableUnit* u : units) {
+    max_cells = std::max(max_cells, u->cell_count());
+  }
 
   constexpr std::uint64_t kChunk = std::uint64_t{1} << 20;
   std::vector<std::uint32_t> fault_of;     // draw -> fault index
@@ -368,13 +373,16 @@ CampaignResult run_sampled_batched(std::span<hw::FaultableUnit* const> units,
     hw::dispatch_plane(lanes, [&]<typename P>(std::type_identity<P>) {
       constexpr auto kWidthLanes =
           static_cast<std::uint32_t>(hw::PlaneTraits<P>::kLanes);
+      hw::LaneFaultSetT<P> table(max_cells);
       for (std::size_t k = 0; k < universe.size(); ++k) {
         const std::uint32_t lo = bucket_pos[k];
         const std::uint32_t hi = bucket_pos[k + 1];
         if (lo == hi) continue;
         hw::FaultableUnit* unit =
             units[static_cast<std::size_t>(universe[k].unit_index)];
-        unit->set_fault(universe[k].site);
+        table.clear();
+        hw::install_lane_fault(*unit, table, universe[k].site,
+                               hw::plane_ones<P>());
         for (std::uint32_t base = lo; base < hi; base += kWidthLanes) {
           const int count = static_cast<int>(
               hi - base < kWidthLanes ? hi - base : kWidthLanes);
@@ -383,7 +391,7 @@ CampaignResult run_sampled_batched(std::span<hw::FaultableUnit* const> units,
           in.valid = hw::plane_prefix<P>(count);
           record_lanes(per_fault[k], trial(in.a, in.b), in.valid);
         }
-        unit->clear_fault();
+        unit->set_lane_faults(nullptr);
       }
     });
   }

@@ -2,8 +2,8 @@
 //
 // The fault universe of a campaign is embarrassingly parallel — every fault
 // is evaluated against the same input space on otherwise fault-free
-// hardware — but the unit models are stateful (set_fault), so workers
-// cannot share instances. The scheduler therefore takes a *context
+// hardware — but the unit models are stateful (an installed lane-fault
+// table), so workers cannot share instances. The scheduler therefore takes a *context
 // factory*: each worker builds its own context (owning fresh unit
 // instances and a trial bound to them), pulls fault indices from a shared
 // atomic cursor, and writes its per-fault CampaignStats into a slot
@@ -15,10 +15,9 @@
 // A context is any type providing
 //   std::vector<hw::FaultableUnit*> units();   // enumeration order = unit
 //                                              // index in the result
-//   const Trial& trial() const;                // batched: (BatchWord,
-//                                              // BatchWord) -> LaneVerdict;
-//                                              // scalar: (Word, Word) ->
-//                                              // Outcome
+//   const Trial& trial() const;                // batched: (BatchWordT<P>,
+//                                              // BatchWordT<P>) ->
+//                                              // LaneVerdictT<P>
 // and the factory is any callable returning one by value. All contexts
 // must describe identical hardware (same units, widths, order); the
 // scheduler asserts the universes agree in size.
@@ -297,7 +296,6 @@ CampaignResult run_exhaustive_batched_parallel(
   auto proto = factory();
   const std::vector<hw::FaultableUnit*> proto_units = proto.units();
   SCK_EXPECTS(!proto_units.empty());
-  for (hw::FaultableUnit* u : proto_units) u->clear_fault();
   const std::vector<detail::ShardEntry> universe =
       detail::enumerate_shard_universe(proto_units);
 
@@ -317,36 +315,6 @@ CampaignResult run_exhaustive_batched_parallel(
               e.excitable, plan, inputs_per_fault, ctx.trial());
         });
   });
-}
-
-/// Parallel exhaustive campaign with a *scalar* trial — for trial functors
-/// that cannot batch (e.g. the whole-mechanism SCK trials with host-side
-/// control flow). Same determinism guarantee as the batched variant.
-template <typename Factory>
-CampaignResult run_exhaustive_parallel(int width, Factory&& factory,
-                                       int threads = 0,
-                                       const CampaignOptions& opt = {}) {
-  SCK_EXPECTS(width >= 1 && width <= 16);
-
-  auto proto = factory();
-  const std::vector<hw::FaultableUnit*> proto_units = proto.units();
-  SCK_EXPECTS(!proto_units.empty());
-  for (hw::FaultableUnit* u : proto_units) u->clear_fault();
-  const std::vector<detail::ShardEntry> universe =
-      detail::enumerate_shard_universe(proto_units);
-
-  const std::uint64_t inputs_per_fault =
-      detail::validate_scalar(width, opt, proto.trial());
-
-  return detail::schedule_faults(
-      std::forward<Factory>(factory), universe, threads, opt,
-      [width, inputs_per_fault, &opt](auto& ctx,
-                                      const detail::ShardEntry& e) {
-        const std::vector<hw::FaultableUnit*> units = ctx.units();
-        return detail::sweep_fault_scalar(
-            *units[static_cast<std::size_t>(e.unit_index)], e.site,
-            e.excitable, width, opt, inputs_per_fault, ctx.trial());
-      });
 }
 
 }  // namespace sck::fault

@@ -98,20 +98,73 @@ struct BatchLanes {
   [[nodiscard]] std::uint64_t id(int lane) const { return ids[slot(lane)]; }
 };
 
-/// Lanes of `got` that differ from the reference outputs of sample `k`
-/// (`want_values`, samples x outputs), the error output excluded: the
-/// reference error flag is 0 by construction.
+/// Per-lane verdict of sample `k`: erroneous lanes are those whose outputs
+/// differ from the reference outputs (`want_values`, samples x outputs),
+/// the error output excluded (the reference error flag is 0 by
+/// construction); detected lanes are those raising the error output.
 template <typename P>
-[[nodiscard]] P erroneous_lanes(std::span<const hw::BatchWordT<P>> got,
-                                std::span<const Word> want_values, int k,
-                                std::int32_t error_output) {
-  P erroneous{};
+[[nodiscard]] fault::LaneVerdictT<P> sample_verdict(
+    std::span<const hw::BatchWordT<P>> got, std::span<const Word> want_values,
+    int k, std::int32_t error_output) {
+  fault::LaneVerdictT<P> verdict;
   for (std::size_t i = 0; i < got.size(); ++i) {
     if (static_cast<std::int32_t>(i) == error_output) continue;
-    erroneous |= lanes_differing_from(
+    verdict.erroneous |= lanes_differing_from(
         got[i], want_values[static_cast<std::size_t>(k) * got.size() + i]);
   }
-  return erroneous;
+  if (error_output >= 0) {
+    verdict.check_failed = got[static_cast<std::size_t>(error_output)][0];
+  }
+  return verdict;
+}
+
+/// The fault events of batch `b` before sample `k` runs: re-arm the
+/// stuck-at lanes whose duration model is active at `k` (permanent faults
+/// stay armed as installed) and flip the register bit of every SEU lane
+/// whose upset sample is `k`. `armed` carries the armed stuck-at lanes from
+/// sample to sample, so the lane tables are only touched when they change.
+template <typename P, typename Sim>
+void inject_sample_faults(Sim& sim, std::span<const FaultJob> jobs,
+                          const BatchLanes& b,
+                          const NetlistCampaignOptions& options, int k,
+                          bool any_seu, P& armed) {
+  const bool duty = options.duration != fault::FaultDuration::kPermanent;
+  if (!duty && !any_seu) return;
+  P now{};
+  for (int lane = 0; lane < b.count; ++lane) {
+    const std::uint64_t gi = b.id(lane);
+    const FaultJob& job = jobs[gi];
+    if (job.kind == FaultKind::kSeu) {
+      if (seu_flip_sample(options, gi) == k) {
+        sim.flip_register_bit(static_cast<int>(job.fu), job.seu_bit,
+                              hw::plane_bit<P>(lane));
+      }
+    } else if (duty && fault_active_at(options, gi, k)) {
+      now |= hw::plane_bit<P>(lane);
+    }
+  }
+  if (duty && !(now == armed)) {
+    sim.arm_lane_faults(now);
+    armed = now;
+  }
+}
+
+/// Classify sample `k`'s outputs `got` (sample_verdict) and record the
+/// outcome of each lane of `b` set in `record` into its slot. Returns the
+/// detected lanes.
+template <typename P>
+P record_sample(std::span<const hw::BatchWordT<P>> got,
+                std::span<const Word> want_values, int k,
+                std::int32_t error_output, const BatchLanes& b,
+                const P& record, std::span<fault::CampaignStats> out) {
+  const fault::LaneVerdictT<P> verdict =
+      sample_verdict(got, want_values, k, error_output);
+  for (int lane = 0; lane < b.count; ++lane) {
+    if (hw::plane_test(record, lane)) {
+      out[b.slot(lane)].record(fault::lane_outcome(verdict, lane));
+    }
+  }
+  return verdict.check_failed;
 }
 
 /// One injected-fault run on the scalar backend: the shared input stream
@@ -212,50 +265,17 @@ void run_fault_batch(const Dfg& graph, NetlistBatchSimT<P>& sim,
 
   // add_lane_fault armed every installed lane, so the permanent path never
   // re-arms (zero extra work, byte-identical to the pre-duration engine).
-  P prev_armed = stuck_lanes;
+  P armed = stuck_lanes;
   for (int k = 0; k < options.samples_per_fault; ++k) {
-    if (options.duration != fault::FaultDuration::kPermanent) {
-      P armed{};
-      for (int lane = 0; lane < lanes; ++lane) {
-        const std::uint64_t gi = b.id(lane);
-        if (jobs[gi].kind != FaultKind::kSeu &&
-            fault_active_at(options, gi, k)) {
-          armed |= hw::plane_bit<P>(lane);
-        }
-      }
-      armed &= stuck_lanes;
-      if (!(armed == prev_armed)) {
-        sim.arm_lane_faults(armed);
-        prev_armed = armed;
-      }
-    }
-    if (any_seu) {
-      for (int lane = 0; lane < lanes; ++lane) {
-        const std::uint64_t gi = b.id(lane);
-        const FaultJob& job = jobs[gi];
-        if (job.kind == FaultKind::kSeu && seu_flip_sample(options, gi) == k) {
-          sim.flip_register_bit(static_cast<int>(job.fu), job.seu_bit,
-                                hw::plane_bit<P>(lane));
-        }
-      }
-    }
+    inject_sample_faults(sim, jobs, b, options, k, any_seu, armed);
     for (std::size_t i = 0; i < num_inputs; ++i) {
       in[i] = hw::broadcast_word<P>(
           shared_stream[static_cast<std::size_t>(k) * num_inputs + i],
           graph.node(graph.inputs()[i]).width);
     }
     sim.step_sample_batch(in, batch_out);
-
-    const P erroneous = erroneous_lanes<P>(batch_out, want_values, k,
-                                           error_output);
-    const P detected =
-        error_output >= 0
-            ? batch_out[static_cast<std::size_t>(error_output)][0]
-            : P{};
-    const fault::LaneVerdictT<P> verdict{erroneous, detected};
-    for (int lane = 0; lane < lanes; ++lane) {
-      out[b.slot(lane)].record(fault::lane_outcome(verdict, lane));
-    }
+    record_sample<P>(batch_out, want_values, k, error_output, b,
+                     hw::plane_ones<P>(), out);
   }
 }
 
@@ -322,46 +342,12 @@ void run_incremental_batch(NetlistIncrementalSimT<P>& sim,
 
   std::vector<hw::BatchWordT<P>> batch_out(num_outputs);
   P active = hw::plane_prefix<P>(lanes);
-  P prev_armed = stuck_lanes;  // add_lane_fault armed every stuck lane
+  P armed = stuck_lanes;  // add_lane_fault armed every stuck lane
   for (int k = start_k; k < options.samples_per_fault; ++k) {
-    if (options.duration != fault::FaultDuration::kPermanent) {
-      P armed{};
-      for (int lane = 0; lane < lanes; ++lane) {
-        const std::uint64_t gi = b.id(lane);
-        if (jobs[gi].kind != FaultKind::kSeu &&
-            fault_active_at(options, gi, k)) {
-          armed |= hw::plane_bit<P>(lane);
-        }
-      }
-      if (!(armed == prev_armed)) {
-        sim.arm_lane_faults(armed);
-        prev_armed = armed;
-      }
-    }
-    if (any_seu) {
-      for (int lane = 0; lane < lanes; ++lane) {
-        const std::uint64_t gi = b.id(lane);
-        const FaultJob& job = jobs[gi];
-        if (job.kind == FaultKind::kSeu && seu_flip_sample(options, gi) == k) {
-          sim.flip_register_bit(static_cast<int>(job.fu), job.seu_bit,
-                                hw::plane_bit<P>(lane));
-        }
-      }
-    }
+    inject_sample_faults(sim, jobs, b, options, k, any_seu, armed);
     sim.replay_sample(trace, k, batch_out);
-
-    const P erroneous = erroneous_lanes<P>(batch_out, want_values, k,
-                                           error_output);
-    const P detected =
-        error_output >= 0
-            ? batch_out[static_cast<std::size_t>(error_output)][0]
-            : P{};
-    const fault::LaneVerdictT<P> verdict{erroneous, detected};
-    for (int lane = 0; lane < lanes; ++lane) {
-      if (hw::plane_test(active, lane)) {
-        out[b.slot(lane)].record(fault::lane_outcome(verdict, lane));
-      }
-    }
+    const P detected = record_sample<P>(batch_out, want_values, k,
+                                        error_output, b, active, out);
 
     if (options.fault_dropping) {
       const P retire = detected & active;
@@ -611,14 +597,10 @@ CampaignSliceRunner::CampaignSliceRunner(const Dfg& graph,
               static_cast<std::size_t>(options.samples_per_fault));
           for (int k = 0; k < options.samples_per_fault; ++k) {
             gsim.replay_sample(impl->trace, k, go);
-            const hw::Plane64 erroneous = erroneous_lanes<hw::Plane64>(
-                go, impl->want_values, k, error_output);
-            const hw::Plane64 detected =
-                error_output >= 0
-                    ? go[static_cast<std::size_t>(error_output)][0]
-                    : hw::Plane64{};
             impl->golden_outcome.push_back(fault::lane_outcome(
-                fault::LaneVerdictT<hw::Plane64>{erroneous, detected}, 0));
+                sample_verdict<hw::Plane64>(go, impl->want_values, k,
+                                            error_output),
+                0));
           }
         }
         return impl;

@@ -353,9 +353,9 @@ GoldenTrace record_golden_trace(const ExecPlan& plan,
                     (static_cast<std::size_t>(plan.num_steps) + 1) *
                     static_cast<std::size_t>(plan.num_regs));
 
-  // The step loop is run_plan_sample's, unrolled here to snapshot the
-  // register file at every step fence (the splice points of the
-  // incremental replay).
+  // Snapshot the register file at every step fence (the splice points of
+  // the incremental replay): fence 0 before the sample, the others from
+  // run_plan_sample's per-fence callback.
   FuBank bank(*plan.netlist);  // fault-free
   ScalarExecSemantics sem(plan, bank);
   auto& st = sem.state;
@@ -367,119 +367,82 @@ GoldenTrace record_golden_trace(const ExecPlan& plan,
                    static_cast<std::size_t>(step_point)) *
                       static_cast<std::size_t>(plan.num_regs));
   };
+  std::vector<Word> outputs(plan.outputs.size());
   for (int k = 0; k < samples; ++k) {
     const std::span<const Word> in = trace.sample_inputs(k);
     for (std::size_t i = 0; i < in.size(); ++i) {
       st.inputs[i] = trunc(in[i], plan.data_width);
     }
     snapshot_regs(k, 0);
-    for (int step = 0; step < plan.num_steps; ++step) {
-      st.latches.clear();
-      const std::uint32_t end =
-          plan.step_begin[static_cast<std::size_t>(step) + 1];
-      for (std::uint32_t i = plan.step_begin[static_cast<std::size_t>(step)];
-           i < end; ++i) {
-        const ExecOp& op = plan.ops[i];
-        const Word result = sem.eval(op, st.read(op.src0), st.read(op.src1));
-        if (op.dst_reg >= 0) st.latches.emplace_back(op.dst_reg, result);
-        st.wires[static_cast<std::size_t>(op.wire)] = result;
-      }
-      for (const auto& [reg, value] : st.latches) {
-        st.regs[static_cast<std::size_t>(reg)] = value;
-      }
-      snapshot_regs(k, step + 1);
-    }
+    run_plan_sample(plan, sem, std::span<Word>(outputs),
+                    [&](int step_point) { snapshot_regs(k, step_point); });
     // Every plan op wrote its wire slot, so the wire array holds exactly
-    // this sample's values.
+    // this sample's values (the end-of-iteration state load writes
+    // registers only).
     std::copy(st.wires.begin(), st.wires.end(),
               trace.wires.begin() + static_cast<std::size_t>(k) *
                                         static_cast<std::size_t>(
                                             plan.num_wires));
-    // Parallel end-of-iteration state load (next sample's step-0 fence).
-    st.loads.clear();
-    for (const ExecPlan::StateLoad& load : plan.state_loads) {
-      st.loads.emplace_back(load.dst_reg, st.read(load.source));
-    }
-    for (const auto& [reg, value] : st.loads) {
-      st.regs[static_cast<std::size_t>(reg)] = value;
-    }
   }
   return trace;
 }
 
-template <typename P>
-NetlistBatchSimT<P>::NetlistBatchSimT(const Netlist& netlist)
-    : owned_plan_(compile_execution_plan(netlist)),
-      plan_(owned_plan_),
-      bank_(netlist),
-      sem_(plan_, bank_) {
-  lane_faults_.reserve(bank_.size());
-  for (std::size_t f = 0; f < bank_.size(); ++f) {
-    const hw::FaultableUnit* u = bank_.unit(static_cast<int>(f));
-    lane_faults_.emplace_back(u == nullptr ? 0 : u->cell_count());
-  }
-}
-
-template <typename P>
-NetlistBatchSimT<P>::NetlistBatchSimT(const ExecPlan& plan)
-    : plan_(plan), bank_(*plan.netlist), sem_(plan_, bank_) {
-  lane_faults_.reserve(bank_.size());
-  for (std::size_t f = 0; f < bank_.size(); ++f) {
-    const hw::FaultableUnit* u = bank_.unit(static_cast<int>(f));
-    lane_faults_.emplace_back(u == nullptr ? 0 : u->cell_count());
-  }
-}
-
 namespace {
 
-/// Validate `fault` against FU `fu_index` of `bank` and add it to that FU's
-/// lane fault table on `lanes`, installing the table on the unit.
+/// One empty lane-fault table per FU of `bank`, sized to its unit's cells
+/// (checker-side FUs get an empty table that never holds a fault).
 template <typename P>
-void add_to_lane_table(const FuBank& bank,
-                       std::vector<hw::LaneFaultSetT<P>>& tables,
-                       int fu_index, const hw::FaultSite& fault,
-                       const P& lanes) {
-  hw::FaultableUnit* u = bank.unit(fu_index);
-  SCK_EXPECTS(u != nullptr && "checker-side units accept no faults");
-  SCK_EXPECTS(fault.active());
-  SCK_EXPECTS(fault.cell >= 0 && fault.cell < u->cell_count());
-  const hw::CellKind kind = u->cell_kind(fault.cell);
-  SCK_EXPECTS(fault.line < hw::cell_line_count(kind));
-  hw::LaneFaultSetT<P>& table = tables[static_cast<std::size_t>(fu_index)];
-  table.add(fault.cell,
-            hw::faulty_cell_lut(kind, fault.line, fault.stuck_value), lanes);
-  u->set_lane_faults(&table);
-}
-
-/// Empty every lane fault table (re-arming all lanes) and uninstall the
-/// non-empty ones from their units.
-template <typename P>
-void clear_lane_tables(const FuBank& bank,
-                       std::vector<hw::LaneFaultSetT<P>>& tables) {
-  for (std::size_t f = 0; f < tables.size(); ++f) {
-    if (!tables[f].empty()) {
-      bank.unit(static_cast<int>(f))->set_lane_faults(nullptr);
-    }
-    tables[f].clear();
+std::vector<hw::LaneFaultSetT<P>> make_lane_tables(const FuBank& bank) {
+  std::vector<hw::LaneFaultSetT<P>> tables;
+  tables.reserve(bank.size());
+  for (std::size_t f = 0; f < bank.size(); ++f) {
+    const hw::FaultableUnit* u = bank.unit(static_cast<int>(f));
+    tables.emplace_back(u == nullptr ? 0 : u->cell_count());
   }
+  return tables;
 }
 
 }  // namespace
 
 template <typename P>
-void NetlistBatchSimT<P>::clear_lane_faults() {
-  clear_lane_tables(bank_, lane_faults_);
+LaneFaultCoreT<P>::LaneFaultCoreT(const Netlist& netlist)
+    : owned_plan_(compile_execution_plan(netlist)),
+      plan_(owned_plan_),
+      bank_(netlist),
+      lane_faults_(make_lane_tables<P>(bank_)),
+      sem_(plan_, bank_) {}
+
+template <typename P>
+LaneFaultCoreT<P>::LaneFaultCoreT(const ExecPlan& plan)
+    : plan_(plan),
+      bank_(*plan.netlist),
+      lane_faults_(make_lane_tables<P>(bank_)),
+      sem_(plan_, bank_) {}
+
+template <typename P>
+void LaneFaultCoreT<P>::clear_lane_faults() {
+  // Uninstall the non-empty tables from their units; clear() re-arms every
+  // lane.
+  for (std::size_t f = 0; f < lane_faults_.size(); ++f) {
+    if (!lane_faults_[f].empty()) {
+      bank_.unit(static_cast<int>(f))->set_lane_faults(nullptr);
+    }
+    lane_faults_[f].clear();
+  }
 }
 
 template <typename P>
-void NetlistBatchSimT<P>::add_lane_fault(int fu_index,
-                                         const hw::FaultSite& fault,
-                                         const P& lanes) {
-  add_to_lane_table(bank_, lane_faults_, fu_index, fault, lanes);
+void LaneFaultCoreT<P>::add_lane_fault(int fu_index,
+                                       const hw::FaultSite& fault,
+                                       const P& lanes) {
+  hw::FaultableUnit* u = bank_.unit(fu_index);
+  SCK_EXPECTS(u != nullptr && "checker-side units accept no faults");
+  hw::install_lane_fault(*u, lane_faults_[static_cast<std::size_t>(fu_index)],
+                         fault, lanes);
 }
 
 template <typename P>
-void NetlistBatchSimT<P>::arm_lane_faults(const P& armed) {
+void LaneFaultCoreT<P>::arm_lane_faults(const P& armed) {
   // Architectural state (and thus residual divergence of disarmed lanes)
   // is untouched.
   for (hw::LaneFaultSetT<P>& table : lane_faults_) table.arm(armed);
@@ -489,33 +452,25 @@ template <typename P>
 void NetlistBatchSimT<P>::step_sample_batch(
     std::span<const hw::BatchWordT<P>> inputs,
     std::span<hw::BatchWordT<P>> outputs) {
-  SCK_EXPECTS(inputs.size() == sem_.state.inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    sem_.state.inputs[i] = inputs[i];
-  }
-  run_plan_sample(plan_, sem_, outputs);
+  auto& st = this->sem_.state;
+  SCK_EXPECTS(inputs.size() == st.inputs.size());
+  for (std::size_t i = 0; i < inputs.size(); ++i) st.inputs[i] = inputs[i];
+  run_plan_sample(this->plan_, this->sem_, outputs);
 }
 
 template <typename P>
 NetlistIncrementalSimT<P>::NetlistIncrementalSimT(const ExecPlan& plan,
                                                   const FaultCones& cones)
-    : plan_(plan),
+    : Core(plan),
       cones_(cones),
-      bank_(*plan.netlist),
-      sem_(plan_, bank_),
+      seu_regs_(cones.reg_mask_words(), 0),
       producer_(static_cast<std::size_t>(plan.num_wires), 0),
       cone_(cones.mask_words(), 0),
       reg_cone_((static_cast<std::size_t>(plan.num_steps) + 1) *
                     cones.reg_mask_words(),
-                0),
-      seu_regs_(cones.reg_mask_words(), 0) {
+                0) {
   SCK_EXPECTS(cones.num_fus() ==
               static_cast<int>(plan.netlist->fus.size()));
-  lane_faults_.reserve(bank_.size());
-  for (std::size_t f = 0; f < bank_.size(); ++f) {
-    const hw::FaultableUnit* u = bank_.unit(static_cast<int>(f));
-    lane_faults_.emplace_back(u == nullptr ? 0 : u->cell_count());
-  }
   for (std::size_t i = 0; i < plan.ops.size(); ++i) {
     producer_[static_cast<std::size_t>(plan.ops[i].wire)] =
         static_cast<std::uint32_t>(i);
@@ -524,7 +479,7 @@ NetlistIncrementalSimT<P>::NetlistIncrementalSimT(const ExecPlan& plan,
 
 template <typename P>
 void NetlistIncrementalSimT<P>::clear_lane_faults() {
-  clear_lane_tables(bank_, lane_faults_);
+  Core::clear_lane_faults();
   faults_.clear();
   seu_faults_.clear();
   std::fill(seu_regs_.begin(), seu_regs_.end(), 0);
@@ -537,16 +492,9 @@ template <typename P>
 void NetlistIncrementalSimT<P>::add_lane_fault(int fu_index,
                                                const hw::FaultSite& fault,
                                                const P& lanes) {
-  add_to_lane_table(bank_, lane_faults_, fu_index, fault, lanes);
+  Core::add_lane_fault(fu_index, fault, lanes);
   faults_.push_back(InstalledFault{fu_index, lanes});
-  const std::span<const std::uint64_t> cone = cones_.op_cone(fu_index);
-  for (std::size_t w = 0; w < cone_.size(); ++w) cone_[w] |= cone[w];
-  const std::size_t rw = cones_.reg_mask_words();
-  for (int s = 0; s <= plan_.num_steps; ++s) {
-    const std::span<const std::uint64_t> regs = cones_.reg_cone(fu_index, s);
-    std::uint64_t* fence = reg_cone_.data() + static_cast<std::size_t>(s) * rw;
-    for (std::size_t w = 0; w < rw; ++w) fence[w] |= regs[w];
-  }
+  or_cone(/*seu=*/false, fu_index);
   program_dirty_ = true;
 }
 
@@ -560,22 +508,8 @@ void NetlistIncrementalSimT<P>::add_lane_seu(int reg, int bit,
   seu_faults_.push_back(InstalledSeu{reg, bit, lanes});
   const auto r = static_cast<std::size_t>(reg);
   seu_regs_[r >> 6] |= std::uint64_t{1} << (r & 63);
-  const std::span<const std::uint64_t> cone = cones_.seu_op_cone(reg);
-  for (std::size_t w = 0; w < cone_.size(); ++w) cone_[w] |= cone[w];
-  const std::size_t rw = cones_.reg_mask_words();
-  for (int s = 0; s <= plan_.num_steps; ++s) {
-    const std::span<const std::uint64_t> regs = cones_.seu_reg_cone(reg, s);
-    std::uint64_t* fence = reg_cone_.data() + static_cast<std::size_t>(s) * rw;
-    for (std::size_t w = 0; w < rw; ++w) fence[w] |= regs[w];
-  }
+  or_cone(/*seu=*/true, reg);
   program_dirty_ = true;
-}
-
-template <typename P>
-void NetlistIncrementalSimT<P>::arm_lane_faults(const P& armed) {
-  // Lane tables only: the union cone must keep covering disarmed lanes
-  // (their residual state divergence still replays through it).
-  for (hw::LaneFaultSetT<P>& table : lane_faults_) table.arm(armed);
 }
 
 template <typename P>
@@ -597,33 +531,28 @@ void NetlistIncrementalSimT<P>::set_active_lanes(const P& active) {
 }
 
 template <typename P>
+void NetlistIncrementalSimT<P>::or_cone(bool seu, int index) {
+  const std::span<const std::uint64_t> ops =
+      seu ? cones_.seu_op_cone(index) : cones_.op_cone(index);
+  for (std::size_t w = 0; w < cone_.size(); ++w) cone_[w] |= ops[w];
+  const std::size_t rw = cones_.reg_mask_words();
+  for (int s = 0; s <= plan_.num_steps; ++s) {
+    const std::span<const std::uint64_t> regs =
+        seu ? cones_.seu_reg_cone(index, s) : cones_.reg_cone(index, s);
+    std::uint64_t* fence = reg_cone_.data() + static_cast<std::size_t>(s) * rw;
+    for (std::size_t w = 0; w < rw; ++w) fence[w] |= regs[w];
+  }
+}
+
+template <typename P>
 void NetlistIncrementalSimT<P>::rebuild_masks(const P& active) {
   std::fill(cone_.begin(), cone_.end(), 0);
   std::fill(reg_cone_.begin(), reg_cone_.end(), 0);
-  const std::size_t rw = cones_.reg_mask_words();
   for (const InstalledFault& fault : faults_) {
-    if (!hw::plane_any(fault.lanes & active)) continue;
-    const std::span<const std::uint64_t> cone = cones_.op_cone(fault.fu);
-    for (std::size_t w = 0; w < cone_.size(); ++w) cone_[w] |= cone[w];
-    for (int s = 0; s <= plan_.num_steps; ++s) {
-      const std::span<const std::uint64_t> regs =
-          cones_.reg_cone(fault.fu, s);
-      std::uint64_t* fence =
-          reg_cone_.data() + static_cast<std::size_t>(s) * rw;
-      for (std::size_t w = 0; w < rw; ++w) fence[w] |= regs[w];
-    }
+    if (hw::plane_any(fault.lanes & active)) or_cone(/*seu=*/false, fault.fu);
   }
   for (const InstalledSeu& seu : seu_faults_) {
-    if (!hw::plane_any(seu.lanes & active)) continue;
-    const std::span<const std::uint64_t> cone = cones_.seu_op_cone(seu.reg);
-    for (std::size_t w = 0; w < cone_.size(); ++w) cone_[w] |= cone[w];
-    for (int s = 0; s <= plan_.num_steps; ++s) {
-      const std::span<const std::uint64_t> regs =
-          cones_.seu_reg_cone(seu.reg, s);
-      std::uint64_t* fence =
-          reg_cone_.data() + static_cast<std::size_t>(s) * rw;
-      for (std::size_t w = 0; w < rw; ++w) fence[w] |= regs[w];
-    }
+    if (hw::plane_any(seu.lanes & active)) or_cone(/*seu=*/true, seu.reg);
   }
 }
 
@@ -792,6 +721,10 @@ void NetlistIncrementalSimT<P>::replay_sample(
 
 // One instantiation per supported plane width (hw/plane.h); the campaign
 // drivers select one at runtime through hw::dispatch_plane.
+template class LaneFaultCoreT<hw::Plane64>;
+template class LaneFaultCoreT<hw::Plane128>;
+template class LaneFaultCoreT<hw::Plane256>;
+template class LaneFaultCoreT<hw::Plane512>;
 template class NetlistBatchSimT<hw::Plane64>;
 template class NetlistBatchSimT<hw::Plane128>;
 template class NetlistBatchSimT<hw::Plane256>;

@@ -249,9 +249,9 @@ struct GoldenTrace {
                                               int samples);
 
 /// The functional-unit models of one backend instance, index-aligned with
-/// netlist.fus (checker-side classes carry no model). Owns the per-FU
-/// fault state: scalar backends inject broadcast faults with set_fault,
-/// the batched backend installs per-lane fault tables.
+/// netlist.fus (checker-side classes carry no model). Scalar backends
+/// inject one fault with set_fault; the plane backends install per-lane
+/// fault tables on the units (LaneFaultCoreT).
 class FuBank {
  public:
   explicit FuBank(const Netlist& netlist);
@@ -332,14 +332,22 @@ struct ExecState {
   }
 };
 
+/// run_plan_sample's default per-fence callback: does nothing.
+struct NoFenceCallback {
+  void operator()(int /*step_point*/) const {}
+};
+
 /// Run one sample iteration of `plan` under `sem`, writing outputs by
 /// position in plan.outputs. The step structure is exactly the
 /// interpreter's: FU results latch at the end of their step, same-step
 /// glue reads wires, outputs are sampled before the parallel
 /// end-of-iteration state load. Inputs must already be in sem.state.inputs.
-template <typename Sem>
+/// `on_fence(step + 1)` runs after each step's latches commit, when
+/// sem.state.regs holds the register file at that fence.
+template <typename Sem, typename OnFence = NoFenceCallback>
 void run_plan_sample(const ExecPlan& plan, Sem& sem,
-                     std::span<typename Sem::Value> outputs) {
+                     std::span<typename Sem::Value> outputs,
+                     const OnFence& on_fence = {}) {
   auto& st = sem.state;
   for (int step = 0; step < plan.num_steps; ++step) {
     st.latches.clear();
@@ -358,6 +366,7 @@ void run_plan_sample(const ExecPlan& plan, Sem& sem,
     for (const auto& [reg, value] : st.latches) {
       st.regs[static_cast<std::size_t>(reg)] = value;
     }
+    on_fence(step + 1);
   }
 
   // Outputs are sampled before the state registers advance.
@@ -501,21 +510,16 @@ struct BatchExecSemanticsT {
 /// The 64-lane reference semantics.
 using BatchExecSemantics = BatchExecSemanticsT<hw::LaneMask>;
 
-/// W-lane execution backend over a compiled plan: lane L runs the same
-/// netlist with lane L's injected fault (or fault-free on unassigned
-/// lanes). The batched campaign drivers pack W faults per batch, feed
-/// each lane its own input stream, and read back per-lane outputs.
+/// The state both plane backends own and the lane-fault members they share:
+/// the compiled plan (owned or shared), the FU models, one lane-fault table
+/// per FU instance and the batch semantics bound to them. Faults enter the
+/// units only through hw::install_lane_fault.
 template <typename P>
-class NetlistBatchSimT {
+class LaneFaultCoreT {
  public:
-  explicit NetlistBatchSimT(const Netlist& netlist);
-  /// Share an externally owned compiled plan (must outlive the sim): the
-  /// campaign drivers compile once and hand the same plan to every worker.
-  explicit NetlistBatchSimT(const ExecPlan& plan);
-
   // Holds internal references (plan/bank); pinned like the scalar sim.
-  NetlistBatchSimT(const NetlistBatchSimT&) = delete;
-  NetlistBatchSimT& operator=(const NetlistBatchSimT&) = delete;
+  LaneFaultCoreT(const LaneFaultCoreT&) = delete;
+  LaneFaultCoreT& operator=(const LaneFaultCoreT&) = delete;
 
   /// Remove every per-lane fault (all lanes fault-free).
   void clear_lane_faults();
@@ -543,15 +547,45 @@ class NetlistBatchSimT {
                    [static_cast<std::size_t>(bit)] ^= lanes;
   }
 
+  /// Reset architectural state to zero on every lane.
+  void reset() { sem_.state.reset(); }
+
+  [[nodiscard]] const Netlist& netlist() const { return *plan_.netlist; }
+  [[nodiscard]] const ExecPlan& plan() const { return plan_; }
+
+ protected:
+  /// Compile and own the netlist's plan.
+  explicit LaneFaultCoreT(const Netlist& netlist);
+  /// Share an externally owned compiled plan (must outlive the core).
+  explicit LaneFaultCoreT(const ExecPlan& plan);
+  ~LaneFaultCoreT() = default;
+
+  ExecPlan owned_plan_;     ///< empty when constructed over a shared plan
+  const ExecPlan& plan_;
+  FuBank bank_;
+  std::vector<hw::LaneFaultSetT<P>> lane_faults_;  ///< per FU instance
+  BatchExecSemanticsT<P> sem_;
+};
+
+/// W-lane execution backend over a compiled plan: lane L runs the same
+/// netlist with lane L's injected fault (or fault-free on unassigned
+/// lanes). The batched campaign drivers pack W faults per batch, feed
+/// each lane its own input stream, and read back per-lane outputs.
+template <typename P>
+class NetlistBatchSimT : public LaneFaultCoreT<P> {
+ public:
+  explicit NetlistBatchSimT(const Netlist& netlist)
+      : LaneFaultCoreT<P>(netlist) {}
+  /// Share an externally owned compiled plan (must outlive the sim): the
+  /// campaign drivers compile once and hand the same plan to every worker.
+  explicit NetlistBatchSimT(const ExecPlan& plan) : LaneFaultCoreT<P>(plan) {}
+
   /// Enumerate the fault universe of one FU instance (empty for
   /// checker-side units).
   [[nodiscard]] std::vector<hw::FaultSite> fu_fault_universe(
       int fu_index) const {
-    return bank_.fault_universe(fu_index);
+    return this->bank_.fault_universe(fu_index);
   }
-
-  /// Reset architectural state to zero on every lane.
-  void reset() { sem_.state.reset(); }
 
   /// Run one sample iteration on all W lanes: `inputs` by position in
   /// netlist().input_names (planes at or above the data width must be
@@ -559,16 +593,6 @@ class NetlistBatchSimT {
   /// netlist().outputs.
   void step_sample_batch(std::span<const hw::BatchWordT<P>> inputs,
                          std::span<hw::BatchWordT<P>> outputs);
-
-  [[nodiscard]] const Netlist& netlist() const { return *plan_.netlist; }
-  [[nodiscard]] const ExecPlan& plan() const { return plan_; }
-
- private:
-  ExecPlan owned_plan_;     ///< empty when constructed over a shared plan
-  const ExecPlan& plan_;
-  FuBank bank_;
-  std::vector<hw::LaneFaultSetT<P>> lane_faults_;  ///< per FU instance
-  BatchExecSemanticsT<P> sem_;
 };
 
 /// The 64-lane reference batch backend.
@@ -586,15 +610,13 @@ using NetlistBatchSim = NetlistBatchSimT<hw::LaneMask>;
 /// to the cone, not to the plan — while staying lane-for-lane identical
 /// to step_sample_batch under broadcast inputs.
 template <typename P>
-class NetlistIncrementalSimT {
+class NetlistIncrementalSimT : private LaneFaultCoreT<P> {
+  using Core = LaneFaultCoreT<P>;
+
  public:
   /// Both the plan and the cones are shared, externally owned state (one
   /// of each per campaign) and must outlive the sim.
   NetlistIncrementalSimT(const ExecPlan& plan, const FaultCones& cones);
-
-  // Holds internal references (plan/cones/bank); pinned like its siblings.
-  NetlistIncrementalSimT(const NetlistIncrementalSimT&) = delete;
-  NetlistIncrementalSimT& operator=(const NetlistIncrementalSimT&) = delete;
 
   /// Remove every per-lane fault (all lanes fault-free, empty cone).
   void clear_lane_faults();
@@ -612,22 +634,18 @@ class NetlistIncrementalSimT {
   /// this call only commits the cone so every affected op replays.
   void add_lane_seu(int reg, int bit, const P& lanes);
 
-  /// Arm the installed STUCK-AT faults on the lanes of `armed` only
-  /// (transient/intermittent duty), like NetlistBatchSimT::arm_lane_faults:
-  /// the mask is set on every per-FU lane fault table. The union cone is
+  /// Arms the installed STUCK-AT faults only; the union cone is
   /// deliberately NOT shrunk — a disarmed lane's residual state divergence
   /// still needs its cone replayed.
-  void arm_lane_faults(const P& armed);
+  using Core::arm_lane_faults;
 
-  /// XOR bit-plane `bit` of register `reg` on the lanes of `lanes`. Only
-  /// meaningful for registers covered by add_lane_seu (their batch slots
-  /// are kept fresh by the SEU cone's forced writers).
-  void flip_register_bit(int reg, int bit, const P& lanes) {
-    SCK_EXPECTS(reg >= 0 && reg < plan_.num_regs);
-    SCK_EXPECTS(bit >= 0 && bit < kMaxWidth);
-    sem_.state.regs[static_cast<std::size_t>(reg)]
-                   [static_cast<std::size_t>(bit)] ^= lanes;
-  }
+  /// Only meaningful for registers covered by add_lane_seu (their batch
+  /// slots are kept fresh by the SEU cone's forced writers).
+  using Core::flip_register_bit;
+
+  using Core::netlist;
+  using Core::plan;
+  using Core::reset;
 
   /// Load the golden register file of (sample k, fence 0) into every lane:
   /// the induction base for windowed replay. The incremental campaign
@@ -641,9 +659,6 @@ class NetlistIncrementalSimT {
   /// callers must not read them again.
   void set_active_lanes(const P& active);
 
-  /// Reset architectural state to zero on every lane.
-  void reset() { sem_.state.reset(); }
-
   /// Replay sample `k` of `trace` under the installed faults: union-cone
   /// ops execute in batch semantics, everything else is spliced from the
   /// trace. `outputs` filled by position in netlist().outputs.
@@ -653,10 +668,14 @@ class NetlistIncrementalSimT {
   /// Number of plan ops currently replayed per sample (diagnostics).
   [[nodiscard]] std::size_t cone_op_count() const;
 
-  [[nodiscard]] const Netlist& netlist() const { return *plan_.netlist; }
-  [[nodiscard]] const ExecPlan& plan() const { return plan_; }
-
  private:
+  using Core::plan_;
+  using Core::sem_;
+
+  /// OR one installed fault's op cone into cone_ and its per-fence
+  /// register cones into reg_cone_: the stuck-at cone of FU `index`, or
+  /// with `seu` the SEU cone of register `index`.
+  void or_cone(bool seu, int index);
   void rebuild_masks(const P& active);
   void compile_cone_program();
   /// Operand read with boundary splicing: batch state when the producer is
@@ -675,11 +694,7 @@ class NetlistIncrementalSimT {
             1) != 0;
   }
 
-  const ExecPlan& plan_;
   const FaultCones& cones_;
-  FuBank bank_;
-  std::vector<hw::LaneFaultSetT<P>> lane_faults_;  ///< per FU instance
-  BatchExecSemanticsT<P> sem_;
   /// Installed stuck-at faults (FU and lanes, for cone rebuilds).
   struct InstalledFault {
     int fu = -1;

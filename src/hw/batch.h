@@ -15,14 +15,13 @@
 // other unsuffixed aliases below) remain the 64-lane uint64_t reference —
 // the substrate every wider width must match bit for bit.
 //
-// Cells evaluate in this layout in two ways:
-//   - golden cells: their truth tables are fixed, so the boolean bit-plane
-//     expressions (s = a^b^c, co = ab | (a^b)c, ...) are hand-compiled and
-//     inlined by FaultableUnit's *_batch helpers;
-//   - the (single) faulty cell: its corrupted CellLut is compiled once at
-//     set_fault time into a CellBatch — one 8-bit truth-table mask per
-//     output — and evaluated generically as a sum of minterms over the
-//     input planes.
+// Cells evaluate in this layout in one way: every cell runs its golden
+// boolean bit-plane expression (s = a^b^c, co = ab | (a^b)c, ...),
+// hand-compiled and inlined by FaultableUnit's *_batch helpers, and a cell
+// that an installed LaneFaultSetT corrupts then has its faulty lanes'
+// outputs picked from that table's truth-table row planes. A campaign that
+// faults one unit for a whole sweep puts that fault on every lane; the
+// netlist backends give each lane its own fault.
 //
 // The batch path is lane-for-lane identical to the scalar LUT path by
 // construction: both read the same CellLut rows; the differential tests in
@@ -198,61 +197,12 @@ template <typename P>
   return diff;
 }
 
-/// A CellLut compiled for bit-plane evaluation: tt[o] bit r is output o of
-/// truth-table row r. Evaluation is a sum of minterms over the input
-/// planes; it is only used for the unit's single faulty cell, so its cost
-/// is amortised over the batch's lanes and all the golden cells around it.
-struct CellBatch {
-  std::uint8_t tt[2] = {0, 0};
-
-  [[nodiscard]] static constexpr CellBatch compile(const CellLut& lut) {
-    CellBatch cb;
-    for (int row = 0; row < 8; ++row) {
-      const auto entry = lut[static_cast<std::size_t>(row)];
-      cb.tt[0] |= static_cast<std::uint8_t>((entry & 1u) << row);
-      cb.tt[1] |= static_cast<std::uint8_t>(((entry >> 1) & 1u) << row);
-    }
-    return cb;
-  }
-
-  /// Evaluate one output over three input planes (row = a | b<<1 | c<<2).
-  template <typename P>
-  [[nodiscard]] static P eval3(std::uint8_t tt, const P& a, const P& b,
-                               const P& c) {
-    P out{};
-    const P na = ~a;
-    const P nb = ~b;
-    const P nc = ~c;
-    if (tt & 0x01) out |= na & nb & nc;
-    if (tt & 0x02) out |= a & nb & nc;
-    if (tt & 0x04) out |= na & b & nc;
-    if (tt & 0x08) out |= a & b & nc;
-    if (tt & 0x10) out |= na & nb & c;
-    if (tt & 0x20) out |= a & nb & c;
-    if (tt & 0x40) out |= na & b & c;
-    if (tt & 0x80) out |= a & b & c;
-    return out;
-  }
-
-  /// Evaluate one output over two input planes (row = a | b<<1).
-  template <typename P>
-  [[nodiscard]] static P eval2(std::uint8_t tt, const P& a, const P& b) {
-    P out{};
-    const P na = ~a;
-    const P nb = ~b;
-    if (tt & 0x01) out |= na & nb;
-    if (tt & 0x02) out |= a & nb;
-    if (tt & 0x04) out |= na & b;
-    if (tt & 0x08) out |= a & b;
-    return out;
-  }
-};
-
-/// Per-lane fault assignment for one unit, used by the batched netlist
-/// execution backend where lane L of a batch simulates its own injected
-/// fault (lane = fault, not lane = input pattern). Unlike the single-fault
-/// CellBatch path, different lanes may corrupt different cells with
-/// different truth tables.
+/// Per-lane fault assignment for one unit: the only way a plane evaluation
+/// sees a fault (hw::install_lane_fault in hw/unit.h installs one). The
+/// netlist backends give lane L of a batch its own injected fault (lane =
+/// fault), so different lanes may corrupt different cells with different
+/// truth tables; the operator-level drivers put one fault on every lane
+/// (lane = input pattern).
 ///
 /// The table is kept per corrupted cell, not per fault: a cell's faults are
 /// merged into row planes, rows[o][r] = the lanes whose faulty LUT outputs

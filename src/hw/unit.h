@@ -76,16 +76,12 @@ class FaultableUnit {
     return out;
   }
 
-  /// Inject `f` (replacing any previous fault). `FaultSite{}` restores the
-  /// fault-free unit.
+  /// Inject `f` into the scalar cell path (replacing any previous fault).
+  /// `FaultSite{}` restores the fault-free unit. Scalar only: plane
+  /// (*_batch) evaluations see faults through an installed lane-fault table
+  /// (install_lane_fault below), never through set_fault.
   void set_fault(const FaultSite& f) {
-    if (f.active()) {
-      SCK_EXPECTS(f.cell >= 0 && f.cell < cell_count());
-      const CellKind kind = cell_kind(f.cell);
-      SCK_EXPECTS(f.line < cell_line_count(kind));
-      faulty_lut_ = faulty_cell_lut(kind, f.line, f.stuck_value);
-      faulty_batch_ = CellBatch::compile(faulty_lut_);
-    }
+    if (f.active()) faulty_lut_ = checked_faulty_lut(f);
     fault_ = f;
   }
 
@@ -101,13 +97,12 @@ class FaultableUnit {
 
   /// Install a per-lane fault table for the *_batch cell helpers: lane L of
   /// every batch evaluation then sees the faults the table assigns to lane
-  /// L (lane = fault, the batched netlist backend's packing). Not owned;
-  /// must outlive its installation and must be sized with this unit's
-  /// cell_count(). The table's plane type is erased here and re-bound by
-  /// the *_batch helpers, which must be invoked with the same plane type
-  /// (checked). Orthogonal to set_fault — the single broadcast fault takes
-  /// precedence on its cell, so backends use one mechanism or the other,
-  /// not both.
+  /// L. Not owned; must outlive its installation and must be sized for at
+  /// least this unit's cell_count() cells. The table's plane type is erased
+  /// here and re-bound by the *_batch helpers, which must be invoked with
+  /// the same plane type (checked). This is the only fault a plane
+  /// evaluation sees: the scalar fault of set_fault never reaches the
+  /// *_batch helpers.
   template <typename P>
   void set_lane_faults(const LaneFaultSetT<P>* lane_faults) {
     lane_faults_ = lane_faults;
@@ -118,6 +113,16 @@ class FaultableUnit {
   void set_lane_faults(std::nullptr_t) {
     lane_faults_ = nullptr;
     lane_fault_words_ = 0;
+  }
+
+  /// The faulty truth table of `f`'s cell, with `f` checked against this
+  /// unit: active, cell and line in range.
+  [[nodiscard]] CellLut checked_faulty_lut(const FaultSite& f) const {
+    SCK_EXPECTS(f.active());
+    SCK_EXPECTS(f.cell >= 0 && f.cell < cell_count());
+    const CellKind kind = cell_kind(f.cell);
+    SCK_EXPECTS(f.line < cell_line_count(kind));
+    return faulty_cell_lut(kind, f.line, f.stuck_value);
   }
 
   /// True when the fault can change this unit's behaviour at all: the
@@ -145,9 +150,8 @@ class FaultableUnit {
   // ---- wide bit-parallel cell evaluation (see hw/batch.h) -----------------
   //
   // Same contract as eval_cell, but over lane planes of any width: each
-  // helper advances all W trials with the hand-compiled golden expression,
-  // routing the unit's single faulty cell through the compiled CellBatch
-  // instead, and the cells of an installed lane-fault table through
+  // helper advances all W trials with the hand-compiled golden expression
+  // and routes the cells of an installed lane-fault table through
   // blend_lane_faults. The batch path does not feed CellUsageRecorder —
   // usage recording is a scalar-path analysis (the hot campaign loops run
   // without one).
@@ -155,10 +159,6 @@ class FaultableUnit {
   template <typename P>
   [[nodiscard]] LaneDuoT<P> fa_batch(int cell, const P& a, const P& b,
                                      const P& c) const {
-    if (cell == fault_.cell) [[unlikely]] {
-      return {CellBatch::eval3(faulty_batch_.tt[0], a, b, c),
-              CellBatch::eval3(faulty_batch_.tt[1], a, b, c)};
-    }
     const P x = a ^ b;
     LaneDuoT<P> out{x ^ c, (a & b) | (x & c)};
     if (lane_faults_ != nullptr && lane_fault_table<P>()->cell_faulty(cell))
@@ -170,9 +170,6 @@ class FaultableUnit {
 
   template <typename P>
   [[nodiscard]] P and_batch(int cell, const P& a, const P& b) const {
-    if (cell == fault_.cell) [[unlikely]] {
-      return CellBatch::eval2(faulty_batch_.tt[0], a, b);
-    }
     P out = a & b;
     if (lane_faults_ != nullptr && lane_fault_table<P>()->cell_faulty(cell))
         [[unlikely]] {
@@ -184,9 +181,6 @@ class FaultableUnit {
 
   template <typename P>
   [[nodiscard]] P xor_batch(int cell, const P& a, const P& b) const {
-    if (cell == fault_.cell) [[unlikely]] {
-      return CellBatch::eval2(faulty_batch_.tt[0], a, b);
-    }
     P out = a ^ b;
     if (lane_faults_ != nullptr && lane_fault_table<P>()->cell_faulty(cell))
         [[unlikely]] {
@@ -198,9 +192,6 @@ class FaultableUnit {
 
   template <typename P>
   [[nodiscard]] P or_batch(int cell, const P& a, const P& b) const {
-    if (cell == fault_.cell) [[unlikely]] {
-      return CellBatch::eval2(faulty_batch_.tt[0], a, b);
-    }
     P out = a | b;
     if (lane_faults_ != nullptr && lane_fault_table<P>()->cell_faulty(cell))
         [[unlikely]] {
@@ -212,10 +203,6 @@ class FaultableUnit {
 
   template <typename P>
   [[nodiscard]] LaneDuoT<P> pg_batch(int cell, const P& a, const P& b) const {
-    if (cell == fault_.cell) [[unlikely]] {
-      return {CellBatch::eval2(faulty_batch_.tt[0], a, b),
-              CellBatch::eval2(faulty_batch_.tt[1], a, b)};
-    }
     LaneDuoT<P> out{a ^ b, a & b};
     if (lane_faults_ != nullptr && lane_fault_table<P>()->cell_faulty(cell))
         [[unlikely]] {
@@ -227,9 +214,6 @@ class FaultableUnit {
   template <typename P>
   [[nodiscard]] P carry_batch(int cell, const P& g, const P& p,
                               const P& c) const {
-    if (cell == fault_.cell) [[unlikely]] {
-      return CellBatch::eval3(faulty_batch_.tt[0], g, p, c);
-    }
     P out = g | (p & c);
     if (lane_faults_ != nullptr && lane_fault_table<P>()->cell_faulty(cell))
         [[unlikely]] {
@@ -242,9 +226,6 @@ class FaultableUnit {
   template <typename P>
   [[nodiscard]] P mux_batch(int cell, const P& d0, const P& d1,
                             const P& sel) const {
-    if (cell == fault_.cell) [[unlikely]] {
-      return CellBatch::eval3(faulty_batch_.tt[0], d0, d1, sel);
-    }
     P out = (d0 & ~sel) | (d1 & sel);
     if (lane_faults_ != nullptr && lane_fault_table<P>()->cell_faulty(cell))
         [[unlikely]] {
@@ -310,10 +291,22 @@ class FaultableUnit {
   int width_;
   FaultSite fault_{};
   CellLut faulty_lut_{};
-  CellBatch faulty_batch_{};
   CellUsageRecorder* recorder_ = nullptr;
   const void* lane_faults_ = nullptr;  ///< type-erased LaneFaultSetT<P>
   int lane_fault_words_ = 0;           ///< PlaneTraits<P>::kWords tag
 };
+
+/// Add fault `f` of `unit` to `table` on `lanes` and install the table on
+/// the unit: the one way a plane (*_batch) evaluation sees a fault. The
+/// operator-level drivers pass every lane (one fault per sweep); the
+/// netlist plane backends pass one lane per fault. `table` must be sized
+/// for at least unit.cell_count() cells and outlive its installation;
+/// uninstall it with unit.set_lane_faults(nullptr).
+template <typename P>
+void install_lane_fault(FaultableUnit& unit, LaneFaultSetT<P>& table,
+                        const FaultSite& f, const P& lanes) {
+  table.add(f.cell, unit.checked_faulty_lut(f), lanes);
+  unit.set_lane_faults(&table);
+}
 
 }  // namespace sck::hw

@@ -56,7 +56,8 @@ std::vector<std::pair<Word, Word>> input_pairs(int width, bool skip_b_zero) {
 
 /// Sweep the unit's complete fault universe (plus fault-free); for every
 /// fault and every input batch, compare `batch_op` lane by lane against
-/// `scalar_op`.
+/// `scalar_op`. The scalar side takes the fault through set_fault, the
+/// batch side through a lane-fault table that puts it on every lane.
 template <typename Unit, typename ScalarOp, typename BatchOp>
 void expect_lane_exact(Unit& unit, int width, bool skip_b_zero,
                        const ScalarOp& scalar_op, const BatchOp& batch_op) {
@@ -67,6 +68,10 @@ void expect_lane_exact(Unit& unit, int width, bool skip_b_zero,
   }
   for (const hw::FaultSite& site : sites) {
     unit.set_fault(site);
+    hw::LaneFaultSet table(unit.cell_count());
+    if (site.active()) {
+      hw::install_lane_fault(unit, table, site, hw::kAllLanes);
+    }
     for (std::size_t base = 0; base < pairs.size(); base += hw::kLanes) {
       const int count = static_cast<int>(
           std::min<std::size_t>(hw::kLanes, pairs.size() - base));
@@ -89,6 +94,7 @@ void expect_lane_exact(Unit& unit, int width, bool skip_b_zero,
             << " b=" << bv[static_cast<std::size_t>(lane)];
       }
     }
+    unit.set_lane_faults(nullptr);
     unit.clear_fault();
   }
 }
@@ -338,7 +344,6 @@ void expect_lane_faults_exact(Unit& unit, bool skip_b_zero,
       bv[static_cast<std::size_t>(lane)] =
           skip_b_zero ? 1 + rng.bounded(limit - 1) : rng.bounded(limit);
     }
-    unit.clear_fault();
     unit.set_lane_faults(&table);
     const auto batched =
         batch_op(unit, hw::pack<P>(av, n), hw::pack<P>(bv, n));
@@ -515,6 +520,10 @@ TEST(BatchTrials, AddSubLaneOutcomesMatchScalar) {
     for (const auto& site : adder.fault_universe()) sites.push_back(site);
     for (const auto& site : sites) {
       adder.set_fault(site);
+      hw::LaneFaultSet table(adder.cell_count());
+      if (site.active()) {
+        hw::install_lane_fault(adder, table, site, hw::kAllLanes);
+      }
       for (std::size_t base = 0; base < pairs.size(); base += hw::kLanes) {
         const int count = static_cast<int>(
             std::min<std::size_t>(hw::kLanes, pairs.size() - base));
@@ -539,6 +548,7 @@ TEST(BatchTrials, AddSubLaneOutcomesMatchScalar) {
               << "sub tech=" << to_string(t) << " fault=" << to_string(site);
         }
       }
+      adder.set_lane_faults(nullptr);
       adder.clear_fault();
     }
   }
@@ -632,6 +642,51 @@ TEST(BatchDrivers, SampledDivisionBitIdenticalToScalar) {
       bt{divider, mult, adder, Technique::kTech1};
   expect_identical(run_sampled(units, n, st, 30'000, 0x51C0, opt),
                    run_sampled_batched(units, n, bt, 30'000, 0x51C0, opt));
+}
+
+TEST(BatchDrivers, LeaveNoLaneFaultTableInstalled) {
+  const int n = 4;
+  hw::RestoringDivider divider(n);
+  hw::ArrayMultiplier mult(n);
+  hw::RippleCarryAdder adder(n);
+  std::vector<hw::FaultableUnit*> units{&divider, &mult, &adder};
+  CampaignOptions opt;
+  opt.skip_b_zero = true;
+  const DivBatchTrial<hw::RestoringDivider, hw::ArrayMultiplier,
+                      hw::RippleCarryAdder>
+      bt{divider, mult, adder, Technique::kBoth};
+  const hw::RestoringDivider golden_div(n);
+  const hw::ArrayMultiplier golden_mult(n);
+  const hw::RippleCarryAdder golden_adder(n);
+
+  // Every unit must evaluate every input pair's planes like a fresh,
+  // fault-free twin.
+  const auto expect_golden = [&](const char* campaign) {
+    const auto pairs = input_pairs(n, /*skip_b_zero=*/true);
+    for (std::size_t base = 0; base < pairs.size(); base += hw::kLanes) {
+      std::vector<Word> av;
+      std::vector<Word> bv;
+      for (std::size_t i = base;
+           i < std::min(pairs.size(), base + hw::kLanes); ++i) {
+        av.push_back(pairs[i].first);
+        bv.push_back(pairs[i].second);
+      }
+      const hw::BatchWord a = hw::pack(av, n);
+      const hw::BatchWord b = hw::pack(bv, n);
+      const hw::BatchDivResult d = divider.divide_batch(a, b);
+      const hw::BatchDivResult gd = golden_div.divide_batch(a, b);
+      EXPECT_EQ(d.quotient.p, gd.quotient.p) << "divider after " << campaign;
+      EXPECT_EQ(d.remainder.p, gd.remainder.p) << "divider after " << campaign;
+      EXPECT_EQ(mult.mul_batch(a, b).p, golden_mult.mul_batch(a, b).p)
+          << "multiplier after " << campaign;
+      EXPECT_EQ(adder.add_batch(a, b).p, golden_adder.add_batch(a, b).p)
+          << "adder after " << campaign;
+    }
+  };
+  (void)run_exhaustive_batched(units, n, bt, opt);
+  expect_golden("run_exhaustive_batched");
+  (void)run_sampled_batched(units, n, bt, 20'000, 0x7AB1E, opt);
+  expect_golden("run_sampled_batched");
 }
 
 // ---- whole-mechanism (core) batched trials ---------------------------------

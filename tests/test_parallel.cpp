@@ -79,39 +79,6 @@ TEST(ParallelCampaign, BatchedIdenticalFor1_2_8Threads) {
   }
 }
 
-struct ScalarAddContext {
-  hw::RippleCarryAdder adder;
-  AddTrial<hw::RippleCarryAdder> trial_;
-
-  ScalarAddContext(int width, Technique tech)
-      : adder(width), trial_{adder, tech} {}
-  // trial_ references adder: never copy/move a context (fault/parallel.h).
-  ScalarAddContext(const ScalarAddContext&) = delete;
-  ScalarAddContext& operator=(const ScalarAddContext&) = delete;
-
-  std::vector<hw::FaultableUnit*> units() { return {&adder}; }
-  [[nodiscard]] const auto& trial() const { return trial_; }
-};
-
-TEST(ParallelCampaign, ScalarTrialVariantIdenticalAcrossThreadCounts) {
-  const int n = 3;
-  CampaignOptions opt;
-  opt.keep_per_fault = true;
-
-  hw::RippleCarryAdder adder(n);
-  std::vector<hw::FaultableUnit*> units{&adder};
-  const AddTrial<hw::RippleCarryAdder> scalar_trial{adder, Technique::kTech2};
-  const CampaignResult reference =
-      run_exhaustive(units, n, scalar_trial, opt);
-
-  for (const int threads : {1, 2, 8}) {
-    const CampaignResult parallel = run_exhaustive_parallel(
-        n, [n] { return ScalarAddContext(n, Technique::kTech2); }, threads,
-        opt);
-    expect_identical(reference, parallel);
-  }
-}
-
 struct MulDivContext {
   hw::ArrayMultiplier mult;
   hw::RippleCarryAdder adder;
