@@ -1,7 +1,7 @@
 // Fault-simulation throughput, operator-level AND system-level.
 //
-// Operator level: scalar vs W-lane batched vs batched + thread pool on
-// the paper's flagship campaign (checked addition on the 8-bit
+// Operator level: scalar vs W-lane batched on the paper's flagship
+// campaign (checked addition on the 8-bit
 // ripple-carry adder, exhaustive: 256 faults x 2^16 input pairs = 16.7M
 // faulty situations).
 //
@@ -77,22 +77,6 @@ double seconds(auto&& body) {
   return best;
 }
 
-/// Worker context for the parallel driver: one adder + one batched trial.
-struct AddContext {
-  sck::hw::RippleCarryAdder adder{kWidth};
-  sck::fault::AddBatchTrial<sck::hw::RippleCarryAdder> trial_{
-      adder, Technique::kTech1};
-
-  AddContext() = default;
-  // trial_ references adder: copying/moving would rebind it to a dead
-  // sibling (see the context lifetime rule in fault/parallel.h).
-  AddContext(const AddContext&) = delete;
-  AddContext& operator=(const AddContext&) = delete;
-
-  std::vector<sck::hw::FaultableUnit*> units() { return {&adder}; }
-  [[nodiscard]] const auto& trial() const { return trial_; }
-};
-
 bool same_result(const CampaignResult& x, const CampaignResult& y) {
   return x.aggregate.silent_correct == y.aggregate.silent_correct &&
          x.aggregate.detected_correct == y.aggregate.detected_correct &&
@@ -137,27 +121,21 @@ int main(int argc, char** argv) {
   op_opt.lanes = args.lanes;
   CampaignResult scalar_r;
   CampaignResult batched_r;
-  CampaignResult parallel_r;
   const double scalar_s =
       seconds([&] { scalar_r = run_exhaustive(units, kWidth, scalar_trial); });
   const double batched_s = seconds([&] {
     batched_r = run_exhaustive_batched(units, kWidth, batch_trial, op_opt);
   });
-  const double parallel_s = seconds([&] {
-    parallel_r = sck::fault::run_exhaustive_batched_parallel(
-        kWidth, [] { return AddContext{}; }, /*threads=*/0, op_opt);
-  });
 
-  if (!same_result(scalar_r, batched_r) || !same_result(scalar_r, parallel_r)) {
-    std::cerr << "ENGINE MISMATCH: batched/parallel results differ from "
-                 "scalar — refusing to report timings\n";
+  if (!same_result(scalar_r, batched_r)) {
+    std::cerr << "ENGINE MISMATCH: batched results differ from scalar — "
+                 "refusing to report timings\n";
     return 1;
   }
 
   const auto trials = static_cast<double>(scalar_r.aggregate.total());
   const double scalar_tps = trials / scalar_s;
   const double batched_tps = trials / batched_s;
-  const double parallel_tps = trials / parallel_s;
 
   sck::TextTable table("engine throughput (identical CampaignResults)");
   table.set_header(
@@ -169,10 +147,6 @@ int main(int argc, char** argv) {
                  sck::format_fixed(batched_s, 3),
                  sck::format_fixed(batched_tps, 0),
                  sck::format_fixed(scalar_s / batched_s, 2) + "x"});
-  table.add_row({"batched + " + std::to_string(hw_threads) + " thread(s)",
-                 sck::format_fixed(parallel_s, 3),
-                 sck::format_fixed(parallel_tps, 0),
-                 sck::format_fixed(scalar_s / parallel_s, 2) + "x"});
   table.print(std::cout);
 
   // ---- system level: netlist campaign on the synthesized FIR ------------
@@ -657,16 +631,6 @@ int main(int argc, char** argv) {
         .set("speedup_vs_scalar", scalar_s / batched_s);
     results.push(std::move(r));
   }
-  {
-    sck::bench::JsonValue r;
-    r.set("engine", "batched+threads")
-        .set("lanes", native_lanes)
-        .set("threads", hw_threads)
-        .set("seconds", parallel_s)
-        .set("trials_per_sec", parallel_tps)
-        .set("speedup_vs_scalar", scalar_s / parallel_s);
-    results.push(std::move(r));
-  }
 
   sck::bench::JsonValue system_results;
   {
@@ -712,7 +676,6 @@ int main(int argc, char** argv) {
       .set("lanes", native_lanes)
       .set("results_identical", true)
       .set("speedup_batched", scalar_s / batched_s)
-      .set("speedup_batched_threads", scalar_s / parallel_s)
       .set("results", std::move(results))
       .set("system_campaign", "netlist/fir_sck_min_area/w8")
       .set("system_trials", sys_scalar_r.aggregate.total())

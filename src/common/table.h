@@ -4,7 +4,6 @@
 // the renderer).
 #pragma once
 
-#include <cstddef>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -28,8 +27,6 @@ class TextTable {
 
   /// Render to a stream with box-drawing in plain ASCII.
   void print(std::ostream& os) const;
-
-  [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
 
  private:
   struct Row {

@@ -67,20 +67,4 @@ inline constexpr int kMaxWidth = 32;
   return trunc(static_cast<Word>(v), width);
 }
 
-/// True when signed addition a+b overflows the n-bit range.
-[[nodiscard]] constexpr bool add_overflows(Word a, Word b, int width) {
-  const std::int64_t sa = to_signed(a, width);
-  const std::int64_t sb = to_signed(b, width);
-  const std::int64_t s = sa + sb;
-  return s != to_signed(from_signed(s, width), width);
-}
-
-/// True when signed subtraction a-b overflows the n-bit range.
-[[nodiscard]] constexpr bool sub_overflows(Word a, Word b, int width) {
-  const std::int64_t sa = to_signed(a, width);
-  const std::int64_t sb = to_signed(b, width);
-  const std::int64_t s = sa - sb;
-  return s != to_signed(from_signed(s, width), width);
-}
-
 }  // namespace sck

@@ -94,12 +94,6 @@ class AluPool {
     return adder_[0];
   }
 
-  void clear_faults() {
-    adder_[0].clear_fault();
-    mult_[0].clear_fault();
-    div_[0].clear_fault();
-  }
-
  private:
   [[nodiscard]] std::size_t pick(OpRole role, unsigned& rr) const {
     switch (policy_) {

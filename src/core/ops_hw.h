@@ -44,7 +44,7 @@ class ScopedAluPool {
   [[nodiscard]] static bool installed() { return current_ != nullptr; }
 
  private:
-  static thread_local AluPool* current_;
+  static inline thread_local AluPool* current_ = nullptr;
   AluPool* prev_;
 };
 

@@ -23,7 +23,7 @@
 // Overflow: all inverse-operation identities hold exactly in the 2^N ring,
 // so wrap-around never raises a false alarm; genuine overflow detection is
 // a separate concern (the paper: "with the exception of overflows, which
-// are separately dealt with") — helpers live in common/word.h.
+// are separately dealt with") and SCK<T> does not model it.
 #pragma once
 
 #include <compare>

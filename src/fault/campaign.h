@@ -12,6 +12,9 @@
 //    formula (Table 2, column 2). Feasible up to ~8-bit operands.
 //  - run_sampled: seeded Monte-Carlo over the same space for wider operands
 //    (the paper's 16-bit row); bit-reproducible via the explicit seed.
+// Each has a batched twin (run_exhaustive_batched, run_sampled_batched)
+// that evaluates W input pairs per bitwise op and returns a bit-identical
+// CampaignResult.
 #pragma once
 
 #include <algorithm>
@@ -94,9 +97,9 @@ struct UniverseEntry {
 };
 
 /// The combined fault universe in canonical order (unit-major, each unit's
-/// own fault_universe() order). Every driver — scalar, batched, sampled,
-/// parallel — must enumerate through this single helper: the order IS the
-/// reduction order the bit-identical guarantee rests on.
+/// own fault_universe() order). Every driver — exhaustive and sampled,
+/// scalar and batched — must enumerate through this single helper: the
+/// order IS the reduction order the bit-identical guarantee rests on.
 inline std::vector<UniverseEntry> enumerate_universe(
     std::span<hw::FaultableUnit* const> units) {
   std::vector<UniverseEntry> universe;
@@ -107,88 +110,6 @@ inline std::vector<UniverseEntry> enumerate_universe(
     }
   }
   return universe;
-}
-
-// The exhaustive-sweep building blocks shared by the sequential drivers
-// here and the parallel driver in fault/parallel.h. Keeping validation,
-// fault collapsing and the per-fault sweep in one place is what lets the
-// three run_exhaustive* entry points stay bit-identical by construction.
-
-/// Fault-free validation sweep, scalar: every trial must be silent.
-/// Returns the trial count per fault.
-template <typename Trial>
-std::uint64_t validate_scalar(int width, const CampaignOptions& opt,
-                              const Trial& trial) {
-  const Word limit = Word{1} << width;
-  std::uint64_t inputs_per_fault = 0;
-  for (Word a = 0; a < limit; ++a) {
-    for (Word b = opt.skip_b_zero ? 1 : 0; b < limit; ++b) {
-      const Outcome o = trial(a, b);
-      SCK_ASSERT(o == Outcome::kSilentCorrect &&
-                 "trial must be silent on fault-free hardware");
-      ++inputs_per_fault;
-    }
-  }
-  return inputs_per_fault;
-}
-
-/// Fault-free validation sweep, batched.
-template <typename P, typename BatchTrial>
-void validate_batched(const ExhaustivePlanT<P>& plan,
-                      const BatchTrial& trial) {
-  for (std::uint64_t k = 0; k < plan.batches(); ++k) {
-    const LaneBatchT<P> in = plan.batch(k);
-    const LaneVerdictT<P> v = trial(in.a, in.b);
-    SCK_ASSERT(!hw::plane_any((v.erroneous | v.check_failed) & in.valid) &&
-               "trial must be silent on fault-free hardware");
-  }
-}
-
-/// One fault's exhaustive statistics, scalar path. Unexcitable faults
-/// collapse to an all-silent sweep (see the note on run_exhaustive).
-template <typename Trial>
-CampaignStats sweep_fault_scalar(hw::FaultableUnit& unit,
-                                 const hw::FaultSite& site, bool excitable,
-                                 int width, const CampaignOptions& opt,
-                                 std::uint64_t inputs_per_fault,
-                                 const Trial& trial) {
-  CampaignStats fs;
-  if (!excitable) {
-    fs.silent_correct = inputs_per_fault;
-    return fs;
-  }
-  const Word limit = Word{1} << width;
-  unit.set_fault(site);
-  for (Word a = 0; a < limit; ++a) {
-    for (Word b = opt.skip_b_zero ? 1 : 0; b < limit; ++b) {
-      fs.record(trial(a, b));
-    }
-  }
-  unit.clear_fault();
-  return fs;
-}
-
-/// One fault's exhaustive statistics, batched path: the fault sits on
-/// every lane of a lane-fault table installed for the sweep.
-template <typename P, typename BatchTrial>
-CampaignStats sweep_fault_batched(hw::FaultableUnit& unit,
-                                  const hw::FaultSite& site, bool excitable,
-                                  const ExhaustivePlanT<P>& plan,
-                                  std::uint64_t inputs_per_fault,
-                                  const BatchTrial& trial) {
-  CampaignStats fs;
-  if (!excitable) {
-    fs.silent_correct = inputs_per_fault;
-    return fs;
-  }
-  hw::LaneFaultSetT<P> table(unit.cell_count());
-  hw::install_lane_fault(unit, table, site, hw::plane_ones<P>());
-  for (std::uint64_t k = 0; k < plan.batches(); ++k) {
-    const LaneBatchT<P> in = plan.batch(k);
-    record_lanes(fs, trial(in.a, in.b), in.valid);
-  }
-  unit.set_lane_faults(nullptr);
-  return fs;
 }
 
 }  // namespace detail
@@ -211,15 +132,32 @@ CampaignResult run_exhaustive(std::span<hw::FaultableUnit* const> units,
   SCK_EXPECTS(width >= 1 && width <= 16);  // 2^(2*16) trials is the ceiling
   detail::clear_all(units);
 
-  CampaignResult result;
-  const std::uint64_t inputs_per_fault =
-      detail::validate_scalar(width, opt, trial);
+  // Fault-free validation sweep: every trial must be silent.
+  const Word limit = Word{1} << width;
+  const Word b_first = opt.skip_b_zero ? 1 : 0;
+  std::uint64_t inputs_per_fault = 0;
+  for (Word a = 0; a < limit; ++a) {
+    for (Word b = b_first; b < limit; ++b) {
+      const Outcome o = trial(a, b);
+      SCK_ASSERT(o == Outcome::kSilentCorrect &&
+                 "trial must be silent on fault-free hardware");
+      ++inputs_per_fault;
+    }
+  }
 
+  CampaignResult result;
   for (const detail::UniverseEntry& e : detail::enumerate_universe(units)) {
     hw::FaultableUnit& unit = *units[static_cast<std::size_t>(e.unit_index)];
-    const CampaignStats fs = detail::sweep_fault_scalar(
-        unit, e.site, unit.fault_excitable(e.site), width, opt,
-        inputs_per_fault, trial);
+    CampaignStats fs;
+    if (!unit.fault_excitable(e.site)) {
+      fs.silent_correct = inputs_per_fault;
+    } else {
+      unit.set_fault(e.site);
+      for (Word a = 0; a < limit; ++a) {
+        for (Word b = b_first; b < limit; ++b) fs.record(trial(a, b));
+      }
+      unit.clear_fault();
+    }
     ++result.fault_universe_size;
     detail::finish_fault(result, e.unit_index, e.site, fs, opt);
   }
@@ -245,14 +183,30 @@ CampaignResult run_exhaustive_batched(
     CampaignResult result;
     const ExhaustivePlanT<P> plan(width, opt.skip_b_zero);
     const std::uint64_t inputs_per_fault = plan.trials_per_fault();
-    detail::validate_batched(plan, trial);
+    // Fault-free validation sweep: every trial must be silent.
+    for (std::uint64_t k = 0; k < plan.batches(); ++k) {
+      const LaneBatchT<P> in = plan.batch(k);
+      const LaneVerdictT<P> v = trial(in.a, in.b);
+      SCK_ASSERT(!hw::plane_any((v.erroneous | v.check_failed) & in.valid) &&
+                 "trial must be silent on fault-free hardware");
+    }
 
     for (const detail::UniverseEntry& e : detail::enumerate_universe(units)) {
       hw::FaultableUnit& unit =
           *units[static_cast<std::size_t>(e.unit_index)];
-      const CampaignStats fs = detail::sweep_fault_batched(
-          unit, e.site, unit.fault_excitable(e.site), plan, inputs_per_fault,
-          trial);
+      CampaignStats fs;
+      if (!unit.fault_excitable(e.site)) {
+        fs.silent_correct = inputs_per_fault;
+      } else {
+        // The fault sits on every lane of a table installed for the sweep.
+        hw::LaneFaultSetT<P> table(unit.cell_count());
+        hw::install_lane_fault(unit, table, e.site, hw::plane_ones<P>());
+        for (std::uint64_t k = 0; k < plan.batches(); ++k) {
+          const LaneBatchT<P> in = plan.batch(k);
+          record_lanes(fs, trial(in.a, in.b), in.valid);
+        }
+        unit.set_lane_faults(nullptr);
+      }
       ++result.fault_universe_size;
       detail::finish_fault(result, e.unit_index, e.site, fs, opt);
     }

@@ -1,53 +1,33 @@
-// Multithreaded campaign scheduler with deterministic reduction.
+// Deterministic scheduling primitives for the campaign engines.
 //
-// The fault universe of a campaign is embarrassingly parallel — every fault
-// is evaluated against the same input space on otherwise fault-free
-// hardware — but the unit models are stateful (an installed lane-fault
-// table), so workers cannot share instances. The scheduler therefore takes a *context
-// factory*: each worker builds its own context (owning fresh unit
-// instances and a trial bound to them), pulls fault indices from a shared
-// atomic cursor, and writes its per-fault CampaignStats into a slot
-// indexed by the fault's position in the universe. The main thread then
-// folds the slots in fault-index order — the same order the sequential
-// drivers use — so the CampaignResult (aggregate, per-fault breakdown,
-// min/max coverage) is bit-identical for any thread count, including 1.
+// parallel_shard fans a job list out over a std::thread pool, one worker
+// state per thread; run_blocks_until early-stops such a list on fixed block
+// boundaries; ShardQueue is the re-queueable ledger the campaign-service
+// daemon hands shards out from. In every case the caller writes job results
+// into j-indexed slots and folds them in job order, so what it reduces is
+// identical for any thread count, including 1.
 //
-// A context is any type providing
-//   std::vector<hw::FaultableUnit*> units();   // enumeration order = unit
-//                                              // index in the result
-//   const Trial& trial() const;                // batched: (BatchWordT<P>,
-//                                              // BatchWordT<P>) ->
-//                                              // LaneVerdictT<P>
-// and the factory is any callable returning one by value. All contexts
-// must describe identical hardware (same units, widths, order); the
-// scheduler asserts the universes agree in size.
-//
-// Context lifetime rule: a context typically stores a trial functor that
-// holds references to the context's own unit members. That is safe only
-// because `auto ctx = factory()` materialises the factory's return value
-// in place (guaranteed prvalue elision) — the context is never copied or
-// moved. Keep it that way: construct the context in the factory's return
-// statement, and delete the context's copy/move constructors so any
-// future refactor that would copy it (and silently rebind the trial to a
+// Context lifetime rule: a worker state (context) typically holds
+// references to its own members (a simulator bound to the units it owns).
+// That is safe only because `auto state = make_state()` materialises the
+// factory's return value in place (guaranteed prvalue elision) — the state
+// is never copied or moved. Keep it that way: construct the state in the
+// factory's return statement, and delete its copy/move constructors so any
+// future refactor that would copy it (and silently rebind a reference to a
 // dead sibling) fails to compile instead.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
-#include <cstdint>
+#include <cstddef>
 #include <deque>
 #include <exception>
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "common/assert.h"
-#include "fault/batch.h"
-#include "fault/campaign.h"
-#include "hw/fault_site.h"
-#include "hw/unit.h"
 
 namespace sck::fault {
 
@@ -63,8 +43,9 @@ namespace sck::fault {
 /// context per worker. Job results must be written into j-indexed slots by
 /// the caller's eval — the caller then reduces them in job order, which
 /// makes the outcome independent of the thread count and of the dynamic
-/// schedule. This is the engine under the campaign drivers below and under
-/// the netlist campaign (hls/netlist_campaign.cpp).
+/// schedule. This is the engine under the netlist campaign
+/// (hls/netlist_campaign.cpp) and the explorer's point pool
+/// (codesign/explorer.cpp).
 ///
 /// Workers: min(resolve_threads(threads), jobs), each building exactly one
 /// state (none at all for zero jobs). The calling thread is one of them:
@@ -228,93 +209,5 @@ class ShardQueue {
   std::size_t completions_ = 0;
   std::size_t requeues_ = 0;
 };
-
-namespace detail {
-
-/// Campaign.h's canonical universe entry (see detail::enumerate_universe
-/// there), augmented with the (pure, context-independent) excitability bit
-/// so workers can apply the same fault collapsing as the sequential
-/// drivers.
-struct ShardEntry {
-  int unit_index;
-  hw::FaultSite site;
-  bool excitable;
-};
-
-inline std::vector<ShardEntry> enumerate_shard_universe(
-    const std::vector<hw::FaultableUnit*>& units) {
-  std::vector<ShardEntry> universe;
-  for (const UniverseEntry& e : enumerate_universe(units)) {
-    const hw::FaultableUnit* unit =
-        units[static_cast<std::size_t>(e.unit_index)];
-    universe.push_back(
-        ShardEntry{e.unit_index, e.site, unit->fault_excitable(e.site)});
-  }
-  return universe;
-}
-
-/// Shard the universe across a worker pool. `eval(ctx, entry)` computes
-/// one fault's CampaignStats inside the worker's own context.
-template <typename Factory, typename Eval>
-CampaignResult schedule_faults(Factory&& factory,
-                               const std::vector<ShardEntry>& universe,
-                               int threads, const CampaignOptions& opt,
-                               const Eval& eval) {
-  std::vector<CampaignStats> per_fault(universe.size());
-  parallel_shard(
-      universe.size(), threads, factory,
-      [&universe, &per_fault, &eval](auto& ctx, std::size_t j) {
-        per_fault[j] = eval(ctx, universe[j]);
-      });
-
-  // Deterministic reduction: fault-index order, exactly like the
-  // sequential drivers.
-  CampaignResult result;
-  result.fault_universe_size = universe.size();
-  for (std::size_t j = 0; j < universe.size(); ++j) {
-    finish_fault(result, universe[j].unit_index, universe[j].site,
-                 per_fault[j], opt);
-  }
-  return result;
-}
-
-}  // namespace detail
-
-/// Parallel exhaustive campaign over the wide bit-parallel engine:
-/// bit-identical to run_exhaustive_batched (and hence to run_exhaustive
-/// with an equivalent scalar trial) at any thread count and any lane
-/// count. `threads == 0` uses all hardware threads; `opt.lanes` resolves
-/// like the sequential batched driver. Each shard is one whole fault, so
-/// the lane width never touches the shard boundaries or the reduction
-/// order — it only sizes the batches inside a shard.
-template <typename Factory>
-CampaignResult run_exhaustive_batched_parallel(
-    int width, Factory&& factory, int threads = 0,
-    const CampaignOptions& opt = {}) {
-  SCK_EXPECTS(width >= 1 && width <= 16);
-
-  auto proto = factory();
-  const std::vector<hw::FaultableUnit*> proto_units = proto.units();
-  SCK_EXPECTS(!proto_units.empty());
-  const std::vector<detail::ShardEntry> universe =
-      detail::enumerate_shard_universe(proto_units);
-
-  const int lanes = hw::resolve_lanes(opt.lanes);
-  return hw::dispatch_plane(lanes, [&]<typename P>(std::type_identity<P>) {
-    const ExhaustivePlanT<P> plan(width, opt.skip_b_zero);
-    const std::uint64_t inputs_per_fault = plan.trials_per_fault();
-    // Fault-free validation sweep on the prototype context.
-    detail::validate_batched(plan, proto.trial());
-
-    return detail::schedule_faults(
-        std::forward<Factory>(factory), universe, threads, opt,
-        [&plan, inputs_per_fault](auto& ctx, const detail::ShardEntry& e) {
-          const std::vector<hw::FaultableUnit*> units = ctx.units();
-          return detail::sweep_fault_batched(
-              *units[static_cast<std::size_t>(e.unit_index)], e.site,
-              e.excitable, plan, inputs_per_fault, ctx.trial());
-        });
-  });
-}
 
 }  // namespace sck::fault

@@ -53,16 +53,6 @@ using LaneMask = std::uint64_t;
 
 inline constexpr LaneMask kAllLanes = ~LaneMask{0};
 
-/// Mask with the low `count` lanes set (count in [0, 64]).
-[[nodiscard]] constexpr LaneMask lane_prefix(int count) {
-  return count >= kLanes ? kAllLanes : ((LaneMask{1} << count) - 1);
-}
-
-/// Broadcast a scalar bit to all lanes.
-[[nodiscard]] constexpr LaneMask lane_broadcast(unsigned bit_value) {
-  return bit_value ? kAllLanes : LaneMask{0};
-}
-
 /// kLaneIndexPlane[j] bit L == bit j of the lane index L. These are the
 /// planes of the identity packing "lane L carries value L", which makes
 /// packing consecutive integers free (see ExhaustivePlan in fault/batch.h).
@@ -359,12 +349,6 @@ template <typename P>
   BatchWordT<P> diff;
   golden_add(a, nb, plane_ones<P>(), width, diff);
   return diff;
-}
-
-/// -x in the n-bit ring.
-template <typename P>
-[[nodiscard]] BatchWordT<P> golden_neg(const BatchWordT<P>& x, int width) {
-  return golden_sub(BatchWordT<P>{}, x, width);
 }
 
 /// a * b (low word) in the n-bit ring: shift-and-add with each partial

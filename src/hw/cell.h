@@ -35,7 +35,6 @@ enum class CellKind : std::uint8_t {
   kFullAdder,  ///< 3 inputs (a, b, cin) -> 2 outputs (sum, cout)
   kAnd,        ///< 2 inputs -> 1 output
   kPg,         ///< 2 inputs (a, b) -> 2 outputs (p = a^b, g = a&b)
-  kCarry,      ///< 3 inputs (g, p, cin) -> 1 output (g | (p & cin))
   kXor,        ///< 2 inputs -> 1 output
   kOr,         ///< 2 inputs -> 1 output
   kMux,        ///< 3 inputs (d0, d1, sel) -> 1 output
@@ -45,7 +44,6 @@ enum class CellKind : std::uint8_t {
 [[nodiscard]] constexpr int cell_rows(CellKind kind) {
   switch (kind) {
     case CellKind::kFullAdder:
-    case CellKind::kCarry:
     case CellKind::kMux:
       return 8;
     case CellKind::kAnd:
@@ -64,7 +62,6 @@ enum class CellKind : std::uint8_t {
     case CellKind::kPg:
       return 2;
     case CellKind::kAnd:
-    case CellKind::kCarry:
     case CellKind::kXor:
     case CellKind::kOr:
     case CellKind::kMux:
@@ -83,8 +80,6 @@ enum class CellKind : std::uint8_t {
       return 3;  // a, b, out
     case CellKind::kPg:
       return 8;  // a stem + 2 branches, b stem + 2 branches, p, g
-    case CellKind::kCarry:
-      return 5;  // g, p, cin, w = p&cin, out
     case CellKind::kXor:
       return 3;  // a, b, out
     case CellKind::kOr:
@@ -173,17 +168,6 @@ constexpr std::uint8_t eval_pg(unsigned row, int line, bool stuck) {
   return static_cast<std::uint8_t>(p | (g << 1));
 }
 
-/// Lookahead carry cell: out = g | (p & cin). Lines: 0 g, 1 p, 2 cin,
-/// 3 w = p & cin, 4 out.
-constexpr std::uint8_t eval_carry(unsigned row, int line, bool stuck) {
-  const auto f = [&](unsigned v, int l) { return force(v, l, line, stuck); };
-  const unsigned g = f(row & 1u, 0);
-  const unsigned p = f((row >> 1) & 1u, 1);
-  const unsigned c = f((row >> 2) & 1u, 2);
-  const unsigned w = f(p & c, 3);
-  return static_cast<std::uint8_t>(f(g | w, 4));
-}
-
 /// 2:1 multiplexer: y = (d0 & ~sel) | (d1 & sel). Lines: 0 d0, 1 d1,
 /// 2 sel stem, 3 sel->inv, 4 sel->and, 5 ~sel, 6 t0, 7 t1, 8 y.
 constexpr std::uint8_t eval_mux(unsigned row, int line, bool stuck) {
@@ -206,8 +190,6 @@ constexpr std::uint8_t eval_cell(CellKind kind, unsigned row, int line,
       return eval_and(row, line, stuck);
     case CellKind::kPg:
       return eval_pg(row, line, stuck);
-    case CellKind::kCarry:
-      return eval_carry(row, line, stuck);
     case CellKind::kXor:
       return eval_xor(row, line, stuck);
     case CellKind::kOr:
@@ -233,7 +215,6 @@ constexpr std::uint8_t eval_cell(CellKind kind, unsigned row, int line,
 inline constexpr CellLut kFullAdderLut = golden_lut(CellKind::kFullAdder);
 inline constexpr CellLut kAndLut = golden_lut(CellKind::kAnd);
 inline constexpr CellLut kPgLut = golden_lut(CellKind::kPg);
-inline constexpr CellLut kCarryLut = golden_lut(CellKind::kCarry);
 inline constexpr CellLut kXorLut = golden_lut(CellKind::kXor);
 inline constexpr CellLut kOrLut = golden_lut(CellKind::kOr);
 inline constexpr CellLut kMuxLut = golden_lut(CellKind::kMux);

@@ -18,8 +18,8 @@ namespace sck::hw {
 
 /// Records which truth-table rows each cell of a unit actually sees during
 /// simulation. Used for fault collapsing: a fault on a row a cell never
-/// receives (e.g. the contradictory g=p=1 rows of a lookahead carry cell,
-/// or carry-in=1 on the first adder of a chain) is provably silent.
+/// receives (e.g. carry-in=1 on the first adder of a chain) is provably
+/// silent.
 class CellUsageRecorder {
  public:
   explicit CellUsageRecorder(int cell_count)
@@ -207,18 +207,6 @@ class FaultableUnit {
     if (lane_faults_ != nullptr && lane_fault_table<P>()->cell_faulty(cell))
         [[unlikely]] {
       out = blend_lane_faults<2, 2>(cell, a, b, b, out);
-    }
-    return out;
-  }
-
-  template <typename P>
-  [[nodiscard]] P carry_batch(int cell, const P& g, const P& p,
-                              const P& c) const {
-    P out = g | (p & c);
-    if (lane_faults_ != nullptr && lane_fault_table<P>()->cell_faulty(cell))
-        [[unlikely]] {
-      out = blend_lane_faults<3, 1>(cell, g, p, c, LaneDuoT<P>{out, P{}})
-                .out0;
     }
     return out;
   }

@@ -131,14 +131,14 @@ std::optional<ServiceCampaignResult> run_remote_campaign(
       MsgType::kCampaignRequest, encode_campaign_setup(request));
 
   const double deadline = now_seconds() + client.total_timeout;
-  double backoff = std::max(client.backoff_initial, 1e-3);
+  double backoff = kBackoffInitial;
   std::string last = "no attempt made";
   for (bool first = true;; first = false) {
     if (!first) {
       const double pause =
           std::min(backoff, std::max(deadline - now_seconds(), 0.0));
       std::this_thread::sleep_for(std::chrono::duration<double>(pause));
-      backoff = std::min(backoff * 2.0, client.backoff_max);
+      backoff = std::min(backoff * 2.0, kBackoffMax);
     }
     const double remaining = deadline - now_seconds();
     if (remaining <= 0) {

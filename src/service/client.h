@@ -29,7 +29,8 @@ struct ServiceCampaignResult {
   ShardStats stats;
 };
 
-/// Reconnect/backoff policy of one submission.
+/// Deadlines of one submission (the backoff between attempts is
+/// kBackoffInitial doubling to kBackoffMax, service/socket.h).
 struct ClientOptions {
   /// Overall deadline: connect attempts, re-submissions and the waits in
   /// between all count against it.
@@ -38,9 +39,6 @@ struct ClientOptions {
   /// presumed wedged (e.g. a half-delivered frame): reconnect, re-submit.
   /// Must exceed the daemon's worst-case campaign completion time.
   double idle_timeout = 30.0;
-  /// Exponential backoff between attempts: initial doubles up to max.
-  double backoff_initial = 0.05;
-  double backoff_max = 2.0;
 };
 
 /// Submit a campaign to the daemon at `address` and wait for the reduced

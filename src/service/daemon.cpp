@@ -34,6 +34,10 @@ constexpr int kWidestPlane = 512;
 
 constexpr std::size_t kReadChunk = 64 * 1024;
 
+/// Shards pipelined per worker: the next shard travels while the previous
+/// one executes.
+constexpr std::size_t kMaxInflightPerWorker = 2;
+
 struct ShardDef {
   std::uint64_t base = 0;
   std::uint32_t count = 0;
@@ -90,7 +94,6 @@ struct CampaignDaemon::Impl {
     if (opt.shard_jobs < 1) opt.shard_jobs = kWidestPlane;
     opt.shard_jobs =
         ((opt.shard_jobs + kWidestPlane - 1) / kWidestPlane) * kWidestPlane;
-    if (opt.max_inflight_per_worker < 1) opt.max_inflight_per_worker = 1;
   }
 
   ~Impl() {
@@ -459,8 +462,7 @@ struct CampaignDaemon::Impl {
       if (conn.kind != Connection::Kind::kWorker) continue;
       if (pending_dead.contains(fd)) continue;
       for (auto& [id, campaign] : campaigns) {
-        while (conn.inflight.size() <
-               static_cast<std::size_t>(opt.max_inflight_per_worker)) {
+        while (conn.inflight.size() < kMaxInflightPerWorker) {
           const std::optional<std::size_t> shard = campaign->queue->acquire();
           if (!shard.has_value()) break;
           if (!conn.has_setup.contains(id)) {

@@ -59,9 +59,6 @@ struct ServiceOptions {
   /// second while idle but cannot mid-shard, so this must exceed the
   /// worst-case shard execution time.
   double heartbeat_timeout = 30.0;
-  /// Shards pipelined per worker (>=1): the next shard travels while the
-  /// previous one executes.
-  int max_inflight_per_worker = 2;
   /// CampaignStore directory for result caching ("" = no store backend).
   /// Also enables the shard write-ahead journal: campaigns interrupted by
   /// a daemon crash resume from their completed shards on re-submission.

@@ -45,6 +45,11 @@ struct Address {
                                      double timeout_seconds,
                                      std::string* error);
 
+/// Backoff between reconnect attempts, shared by the client's re-submission
+/// loop and the worker's redial loop: 50 ms, doubling up to 2 s.
+inline constexpr double kBackoffInitial = 0.05;
+inline constexpr double kBackoffMax = 2.0;
+
 /// Write the whole span to a BLOCKING fd (EINTR-safe). False on any error.
 [[nodiscard]] bool send_all(int fd, std::span<const unsigned char> bytes);
 

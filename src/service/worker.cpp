@@ -246,7 +246,7 @@ int run_worker(const WorkerOptions& options) {
   }
 
   int shards_done = 0;
-  double backoff = 0.05;
+  double backoff = kBackoffInitial;
   bool ever_connected = false;
   for (;;) {
     std::string error;
@@ -262,7 +262,7 @@ int run_worker(const WorkerOptions& options) {
       return 1;
     }
     ever_connected = true;
-    backoff = 0.05;  // the daemon is reachable again
+    backoff = kBackoffInitial;  // the daemon is reachable again
 
     switch (run_session(fd, options, shards_done)) {
       case Loop::kDone:
@@ -272,7 +272,7 @@ int run_worker(const WorkerOptions& options) {
       case Loop::kLost:
         if (!options.reconnect) return 0;  // daemon re-queues our shards
         std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-        backoff = std::min(backoff * 2.0, 2.0);
+        backoff = std::min(backoff * 2.0, kBackoffMax);
         break;
       case Loop::kContinue:
         break;  // unreachable: run_session never returns kContinue

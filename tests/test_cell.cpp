@@ -38,15 +38,6 @@ TEST(CellLut, PropagateGenerateTruthTable) {
   }
 }
 
-TEST(CellLut, CarryCellTruthTable) {
-  for (unsigned row = 0; row < 8; ++row) {
-    const unsigned g = row & 1u;
-    const unsigned p = (row >> 1) & 1u;
-    const unsigned c = (row >> 2) & 1u;
-    EXPECT_EQ(kCarryLut[row], g | (p & c)) << "row " << row;
-  }
-}
-
 TEST(CellLut, XorCellTruthTable) {
   for (unsigned row = 0; row < 4; ++row) {
     EXPECT_EQ(kXorLut[row], (row & 1u) ^ ((row >> 1) & 1u)) << "row " << row;
@@ -71,7 +62,6 @@ TEST(CellFaultCount, FullAdderHasThePaperConstant32) {
 TEST(CellFaultCount, MatchesNetlistLineCounts) {
   EXPECT_EQ(cell_fault_count(CellKind::kAnd), 6);
   EXPECT_EQ(cell_fault_count(CellKind::kPg), 16);
-  EXPECT_EQ(cell_fault_count(CellKind::kCarry), 10);
   EXPECT_EQ(cell_fault_count(CellKind::kXor), 6);
   EXPECT_EQ(cell_fault_count(CellKind::kMux), 18);
 }

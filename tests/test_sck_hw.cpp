@@ -4,6 +4,7 @@
 // (distinct units => 100% coverage), verified exhaustively.
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -87,6 +88,19 @@ TEST(SckHwBackend, ScopedPoolsNest) {
     EXPECT_EQ(ScopedAluPool::current().width(), 8);
   }
   EXPECT_EQ(ScopedAluPool::current().width(), 4);
+}
+
+TEST(SckHwBackend, InstalledPoolIsPerThread) {
+  // The installed pool is thread_local: a pool installed on this thread is
+  // invisible to another, which starts with none.
+  AluPool pool(8, AllocationPolicy::kSharedSingle);
+  ScopedAluPool guard(pool);
+  ASSERT_TRUE(ScopedAluPool::installed());
+  bool installed_elsewhere = true;
+  std::thread other([&] { installed_elsewhere = ScopedAluPool::installed(); });
+  other.join();
+  EXPECT_FALSE(installed_elsewhere);
+  EXPECT_EQ(&ScopedAluPool::current(), &pool);
 }
 
 // ---- the §2.1 allocation-policy property, exhaustively ---------------------
