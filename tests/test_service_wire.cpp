@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,6 +20,8 @@
 #include "hls/netlist_campaign.h"
 #include "netlist_test_util.h"
 #include "service/wire.h"
+#include "store/journal.h"
+#include "store/store.h"
 
 namespace sck::service {
 namespace {
@@ -259,6 +264,196 @@ TEST(WireCodec, ShardRequestRoundtrip) {
   EXPECT_EQ(got->shard_id, req.shard_id);
   EXPECT_EQ(got->base, req.base);
   EXPECT_EQ(got->jobs, req.jobs);
+}
+
+// ---- pinned payload bytes --------------------------------------------------
+
+/// Campaign setup with every option off its default, so a dropped or
+/// reordered option field moves the pinned digest.
+[[nodiscard]] CampaignSetupPayload sample_setup(const WireDesign& design) {
+  CampaignSetupPayload setup;
+  setup.campaign_id = 0x1234'5678'9ABCULL;
+  setup.campaign.graph = design.graph;
+  setup.campaign.netlist = design.netlist;
+  hls::NetlistCampaignOptions& o = setup.campaign.options;
+  o.samples_per_fault = 5;
+  o.seed = 0xC0FFEE;
+  o.fault_stride = 2;
+  o.threads = 3;
+  o.lanes = 128;
+  o.backend = hls::NetlistBackend::kIncremental;
+  o.fault_dropping = true;
+  o.duration = sck::fault::FaultDuration::kTransient;
+  o.transient_samples = 3;
+  o.duty_permille = 700;
+  o.seu_faults = true;
+  return setup;
+}
+
+/// Stuck-at jobs and SEU jobs in one slice.
+[[nodiscard]] ShardRequestPayload sample_shard_request() {
+  ShardRequestPayload req;
+  req.campaign_id = 17;
+  req.shard_id = 5;
+  req.base = 40;
+  req.jobs = {
+      {2, {7, 3, true}, hls::FaultKind::kStuckAt, -1},
+      {0, {0, 0, false}, hls::FaultKind::kStuckAt, -1},
+      {1, {}, hls::FaultKind::kSeu, 0},
+      {4, {}, hls::FaultKind::kSeu, 11},
+  };
+  return req;
+}
+
+struct EncodedPayload {
+  const char* name;
+  std::vector<unsigned char> bytes;
+  /// Decode, then encode again; nullopt when decoding fails.
+  std::optional<std::vector<unsigned char>> (*recode)(
+      std::span<const unsigned char>);
+};
+
+template <auto Decode, auto Encode>
+[[nodiscard]] std::optional<std::vector<unsigned char>> recode(
+    std::span<const unsigned char> bytes) {
+  const auto value = Decode(bytes);
+  if (!value.has_value()) return std::nullopt;
+  return Encode(*value);
+}
+
+/// One fixed instance of every payload type.
+[[nodiscard]] std::vector<EncodedPayload> sample_payloads(
+    const WireDesign& design) {
+  return {
+      {"hello", encode_hello(sample_hello()),
+       recode<decode_hello, encode_hello>},
+      {"hello_ack", encode_hello_ack({42}),
+       recode<decode_hello_ack, encode_hello_ack>},
+      {"campaign_setup", encode_campaign_setup(sample_setup(design)),
+       recode<decode_campaign_setup, encode_campaign_setup>},
+      {"shard_request", encode_shard_request(sample_shard_request()),
+       recode<decode_shard_request, encode_shard_request>},
+      {"shard_result", encode_shard_result(sample_shard_result()),
+       recode<decode_shard_result, encode_shard_result>},
+      {"campaign_response", encode_campaign_response(sample_response()),
+       recode<decode_campaign_response, encode_campaign_response>},
+      {"campaign_done", encode_campaign_done({0x0123'4567'89AB'CDEFULL}),
+       recode<decode_campaign_done, encode_campaign_done>},
+      {"error", encode_error("worker went sideways"),
+       recode<decode_error, encode_error>},
+  };
+}
+
+// kWireProtocolVersion promises that peers of one version agree on every
+// payload byte: the digest of a fixed instance of each payload type pins
+// its layout. A failure here means the layout changed — bump
+// kWireProtocolVersion instead of re-pinning.
+TEST(WirePayload, PinnedPayloadBytes) {
+  struct Pin {
+    const char* name;
+    std::size_t size;
+    std::uint64_t fnv;
+  };
+  const Pin pins[] = {
+      {"hello", 24, 0x5D9D40A397413F3FULL},
+      {"hello_ack", 8, 0xFF3ADD6B3789DAEFULL},
+      {"campaign_setup", 4191, 0x31ED81C7A5C7666BULL},
+      {"shard_request", 116, 0x77771DE9271DEB4EULL},
+      {"shard_result", 136, 0x288B770FE5226ECDULL},
+      {"campaign_response", 301, 0xC505AF85289254C6ULL},
+      {"campaign_done", 8, 0x37EB3F3347761C55ULL},
+      {"error", 28, 0x12A787C9A6F84C4AULL},
+  };
+  const WireDesign design;
+  const std::vector<EncodedPayload> payloads = sample_payloads(design);
+  ASSERT_EQ(payloads.size(), std::size(pins));
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    const std::vector<unsigned char>& bytes = payloads[i].bytes;
+    EXPECT_STREQ(payloads[i].name, pins[i].name);
+    EXPECT_EQ(bytes.size(), pins[i].size) << pins[i].name;
+    EXPECT_EQ(fnv1a(bytes.data(), bytes.size()), pins[i].fnv)
+        << pins[i].name;
+  }
+}
+
+// ---- canonical decoding ----------------------------------------------------
+
+/// Mutates every byte of `bytes` before its last `sealed` bytes three ways
+/// (flip the low bit, flip the high bit, set to 0xFF), re-seals when
+/// `sealed` is 8, and requires each mutant to be rejected or to re-encode
+/// to exactly the mutated bytes: no two byte strings decode to one value.
+void expect_canonical(const char* name, const std::vector<unsigned char>& bytes,
+                      std::size_t sealed,
+                      std::optional<std::vector<unsigned char>> (*recode)(
+                          std::span<const unsigned char>)) {
+  ASSERT_TRUE(recode(bytes) == bytes) << name << " does not round-trip";
+  int reported = 0;
+  for (std::size_t i = 0; i + sealed < bytes.size(); ++i) {
+    for (const auto mutate :
+         {+[](unsigned char b) { return static_cast<unsigned char>(b ^ 0x01); },
+          +[](unsigned char b) { return static_cast<unsigned char>(b ^ 0x80); },
+          +[](unsigned char) { return static_cast<unsigned char>(0xFF); }}) {
+      std::vector<unsigned char> mutant = bytes;
+      mutant[i] = mutate(mutant[i]);
+      if (mutant == bytes) continue;
+      if (sealed != 0) reseal(mutant);
+      const auto again = recode(mutant);
+      if (again.has_value() && *again != mutant && reported++ < 5) {
+        ADD_FAILURE() << name << ": byte " << i << " set to "
+                      << int{mutant[i]}
+                      << " decodes but re-encodes differently";
+      }
+    }
+  }
+}
+
+const store::Fingerprint kEntryKey{0x0123456789ABCDEFULL,
+                                   0xFEDCBA9876543210ULL};
+
+[[nodiscard]] std::optional<std::vector<unsigned char>> recode_entry(
+    std::span<const unsigned char> bytes) {
+  const auto value = store::deserialize_entry(
+      kEntryKey, std::vector<unsigned char>(bytes.begin(), bytes.end()));
+  if (!value.has_value()) return std::nullopt;
+  return store::serialize_entry(kEntryKey, *value);
+}
+
+/// A journal record goes through recovery: written after a valid header,
+/// it either recovers as one shard or is cut off as a torn tail.
+[[nodiscard]] std::optional<std::vector<unsigned char>> recode_journal_record(
+    std::span<const unsigned char> record) {
+  constexpr std::uint64_t kJobs = 64;
+  const std::filesystem::path path =
+      std::filesystem::path(::testing::TempDir()) / "sck_wire_canonical.jrnl";
+  std::vector<unsigned char> file =
+      store::serialize_journal_header(kEntryKey, kJobs);
+  file.insert(file.end(), record.begin(), record.end());
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(file.data()),
+              static_cast<std::streamsize>(file.size()));
+  }
+  const store::ShardJournal journal(path.string(), kEntryKey, kJobs);
+  const std::vector<store::JournalShard>& shards = journal.recovery().shards;
+  if (shards.size() != 1) return std::nullopt;
+  return store::serialize_journal_record(shards[0].shard_id, shards[0].base,
+                                         shards[0].per_job);
+}
+
+TEST(WirePayload, DecodingIsCanonical) {
+  const WireDesign design;
+  for (const EncodedPayload& p : sample_payloads(design)) {
+    expect_canonical(p.name, p.bytes, 0, p.recode);
+  }
+  hls::NetlistCampaignResult result = sample_response().result;
+  result.per_unit.push_back({5, "seu r3", 12, {1, 0, 2, 9}});
+  expect_canonical("store entry", store::serialize_entry(kEntryKey, result), 8,
+                   recode_entry);
+  expect_canonical(
+      "journal record",
+      store::serialize_journal_record(
+          3, 20, std::vector<fault::CampaignStats>{{1, 2, 3, 4}, {5, 6, 7, 8}}),
+      8, recode_journal_record);
 }
 
 // ---- frame layer -----------------------------------------------------------
