@@ -34,8 +34,8 @@
 #include <sstream>
 #include <string>
 
-#include "cli_flags.h"
 #include "codesign/explorer.h"
+#include "common/parse_number.h"
 #include "common/table.h"
 #include "hls/netlist_campaign.h"
 #include "service/client.h"
@@ -43,7 +43,7 @@
 
 namespace {
 
-using sck::examples::numeric_flag;
+using sck::numeric_flag;
 
 sck::service::CampaignDaemon* g_daemon = nullptr;
 

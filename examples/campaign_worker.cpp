@@ -16,7 +16,7 @@
 #include <iostream>
 #include <string>
 
-#include "cli_flags.h"
+#include "common/parse_number.h"
 #include "hls/netlist_campaign.h"
 #include "service/worker.h"
 
@@ -29,7 +29,7 @@ constexpr const char* kUsage =
 }  // namespace
 
 int main(int argc, char** argv) {
-  using sck::examples::numeric_flag;
+  using sck::numeric_flag;
   sck::service::WorkerOptions opt;
   int positional = 0;
   for (int i = 1; i < argc; ++i) {

@@ -15,8 +15,8 @@
 #include <iostream>
 #include <string>
 
-#include "cli_flags.h"
 #include "codesign/explorer.h"
+#include "common/parse_number.h"
 #include "common/table.h"
 #include "common/word.h"
 
@@ -34,9 +34,9 @@ int main(int argc, char** argv) {
   int samples_per_fault = 12;
   std::size_t sw_samples = 1'000'000;
   if (argc > 4 ||
-      (argc > 1 && !sck::examples::parse_number(argv[1], width)) ||
-      (argc > 2 && !sck::examples::parse_number(argv[2], samples_per_fault)) ||
-      (argc > 3 && !sck::examples::parse_number(argv[3], sw_samples))) {
+      (argc > 1 && !sck::parse_number(argv[1], width)) ||
+      (argc > 2 && !sck::parse_number(argv[2], samples_per_fault)) ||
+      (argc > 3 && !sck::parse_number(argv[3], sw_samples))) {
     std::cerr << "invalid arguments\n" << kUsage;
     return 2;
   }

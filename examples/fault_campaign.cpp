@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "cli_flags.h"
+#include "common/parse_number.h"
 #include "fault/batch_trials.h"
 #include "fault/campaign.h"
 #include "fault/trials.h"
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     bool bad = false;
-    if (!sck::examples::numeric_flag(arg, "--lanes=", lanes, bad)) {
+    if (!sck::numeric_flag(arg, "--lanes=", lanes, bad)) {
       std::cerr << "unknown option: " << arg << "\n" << kUsage;
       return 2;
     }

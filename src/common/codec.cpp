@@ -5,46 +5,12 @@
 
 namespace sck::codec {
 
-void put_result(Writer& w, const hls::NetlistCampaignResult& v) {
-  w.u64(v.fault_universe_size);
-  put_stats(w, v.aggregate);
-  w.u64(v.per_unit.size());
-  for (const hls::UnitCoverage& unit : v.per_unit) {
-    w.i64(unit.fu_index);
-    w.str(unit.fu_name);
-    w.u64(unit.faults);
-    put_stats(w, unit.stats);
-  }
-}
-
-bool get_result(Reader& r, hls::NetlistCampaignResult& v) {
-  std::uint64_t count = 0;
-  if (!r.u64(v.fault_universe_size) || !get_stats(r, v.aggregate) ||
-      !r.count(count, 8 + 8 + 8 + 32)) {
-    return false;
-  }
-  v.per_unit.resize(static_cast<std::size_t>(count));
-  for (hls::UnitCoverage& unit : v.per_unit) {
-    std::int64_t fu_index = 0;
-    if (!r.i64(fu_index) || !r.str(unit.fu_name) || !r.u64(unit.faults) ||
-        !get_stats(r, unit.stats)) {
-      return false;
-    }
-    // FU indices, then SEU pseudo-units after them: never negative.
-    if (fu_index < 0 || fu_index > std::numeric_limits<int>::max()) {
-      return r.fail();
-    }
-    unit.fu_index = static_cast<int>(fu_index);
-  }
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // Dfg. Nodes are append-only with stable ids and (outside kReg next-value
 // edges) strictly backward operand references, so the node array in id
 // order captures the whole graph.
 
-void put_dfg(Writer& w, const hls::Dfg& g) {
+bool io(Writer& w, const hls::Dfg& g) {
   w.u64(g.size());
   for (std::size_t id = 0; id < g.size(); ++id) {
     const hls::Node& n = g.node(static_cast<hls::NodeId>(id));
@@ -58,11 +24,12 @@ void put_dfg(Writer& w, const hls::Dfg& g) {
     w.i32(n.check_group);
     w.i32(n.release_delay);
   }
+  return true;
 }
 
 /// Reconstruction invariant: builder ids are sequential appends, so node k
 /// of the encoding becomes NodeId k.
-bool get_dfg(Reader& r, hls::Dfg& g) {
+bool io(Reader& r, hls::Dfg& g) {
   std::uint64_t count = 0;
   // Minimum encoded node: op + width + ins count + value + name length +
   // is_check + check_group + release_delay.
@@ -76,7 +43,7 @@ bool get_dfg(Reader& r, hls::Dfg& g) {
     hls::Op op = hls::Op::kConst;
     std::uint32_t width = 0;
     std::uint64_t arity = 0;
-    if (!r.enumeration(op, hls::Op::kOr) || !r.u32(width) ||
+    if (!r.enumeration(op) || !r.u32(width) ||
         !r.count(arity, 4)) {
       return false;
     }
@@ -168,7 +135,7 @@ void put_operand(Writer& w, const hls::Operand& o) {
 [[nodiscard]] bool get_operand(Reader& r, const hls::Netlist& n,
                                hls::Operand& o) {
   std::int64_t value = 0;
-  if (!r.enumeration(o.kind, hls::Operand::Kind::kWire) || !r.i32(o.index) ||
+  if (!r.enumeration(o.kind) || !r.i32(o.index) ||
       !r.i64(value)) {
     return false;
   }
@@ -192,7 +159,7 @@ void put_operand(Writer& w, const hls::Operand& o) {
 
 }  // namespace
 
-void put_netlist(Writer& w, const hls::Netlist& n) {
+bool io(Writer& w, const hls::Netlist& n) {
   w.str(n.name);
   w.u32(static_cast<std::uint32_t>(n.data_width));
   w.u32(static_cast<std::uint32_t>(n.num_steps));
@@ -231,9 +198,10 @@ void put_netlist(Writer& w, const hls::Netlist& n) {
     put_operand(w, m.src[1]);
     w.i32(m.dst_reg);
   }
+  return true;
 }
 
-bool get_netlist(Reader& r, hls::Netlist& n) {
+bool io(Reader& r, hls::Netlist& n) {
   std::uint32_t data_width = 0;
   std::uint32_t num_steps = 0;
   if (!r.str(n.name) || !r.u32(data_width) || !r.u32(num_steps)) return false;
@@ -253,8 +221,7 @@ bool get_netlist(Reader& r, hls::Netlist& n) {
   n.fus.resize(static_cast<std::size_t>(count));
   for (hls::FuInstance& fu : n.fus) {
     std::uint32_t width = 0;
-    if (!r.enumeration(fu.cls, static_cast<hls::ResourceClass>(
-                                   hls::kResourceClassCount - 1)) ||
+    if (!r.enumeration(fu.cls) ||
         !r.u32(width) || !r.i32(fu.group) || !r.str(fu.name)) {
       return false;
     }
@@ -299,7 +266,7 @@ bool get_netlist(Reader& r, hls::Netlist& n) {
   n.micro.resize(static_cast<std::size_t>(count));
   for (hls::MicroOp& m : n.micro) {
     if (!r.i32(m.step) || !r.i32(m.node) ||
-        !r.enumeration(m.op, hls::Op::kOr) || !r.i32(m.fu) ||
+        !r.enumeration(m.op) || !r.i32(m.fu) ||
         !get_operand(r, n, m.src[0]) || !get_operand(r, n, m.src[1]) ||
         !r.i32(m.dst_reg)) {
       return false;
@@ -339,51 +306,12 @@ constexpr std::size_t aggregate_arity() {
   }
 }
 
-void put_exec_settings(Writer& w, const hls::NetlistCampaignOptions& o) {
-  w.i32(o.threads);
-  w.i32(o.lanes);
-  w.enumeration(o.backend);
-}
-
 }  // namespace
 
-// The options are the one fingerprint input still listed by hand: every
-// field is either in the result key or an execution setting, except
-// `stream`, which has one value and is read by nothing.
+// An unlisted field fails here: every field but `stream` (read by nothing)
+// is in result_key or io(options).
 static_assert(aggregate_arity<hls::NetlistCampaignOptions>() == 12,
-              "NetlistCampaignOptions gained or lost a field: add it to "
-              "put_result_key (if it can change a result bit) or to "
-              "put_exec_settings, update get_options and hls::validate, and "
-              "bump kFingerprintVersion and kWireProtocolVersion. `stream` "
-              "is the one field in neither: it is kept only so existing "
-              "source that assigns it still compiles");
-
-void put_result_key(Writer& w, const hls::NetlistCampaignOptions& o) {
-  w.i32(o.samples_per_fault);
-  w.u64(o.seed);
-  w.i32(o.fault_stride);
-  w.boolean(o.fault_dropping);
-  w.enumeration(o.duration);
-  w.i32(o.transient_samples);
-  w.u32(o.duty_permille);
-  w.boolean(o.seu_faults);
-}
-
-void put_options(Writer& w, const hls::NetlistCampaignOptions& o) {
-  put_result_key(w, o);
-  put_exec_settings(w, o);
-}
-
-bool get_options(Reader& r, hls::NetlistCampaignOptions& o) {
-  if (!r.i32(o.samples_per_fault) || !r.u64(o.seed) || !r.i32(o.fault_stride) ||
-      !r.boolean(o.fault_dropping) ||
-      !r.enumeration(o.duration) || !r.i32(o.transient_samples) ||
-      !r.u32(o.duty_permille) || !r.boolean(o.seu_faults) ||
-      !r.i32(o.threads) || !r.i32(o.lanes) || !r.enumeration(o.backend)) {
-    return false;
-  }
-  // Options the engine would abort on are a clean parse failure instead.
-  return hls::validate(o).empty() || r.fail();
-}
+              "NetlistCampaignOptions changed: list the field in result_key "
+              "or io(options) and bump the wire and fingerprint versions");
 
 }  // namespace sck::codec

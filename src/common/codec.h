@@ -1,25 +1,29 @@
 // The one canonical byte codec. Wire frames (service/wire.cpp), store
 // entries (store/store.cpp), journal files (store/journal.cpp) and campaign
 // fingerprints (store/fingerprint.cpp) all write and read the shared domain
-// types through this header, so a field added here reaches every format —
-// and the fingerprint hashes exactly the bytes the wire ships.
+// types through this header, and the fingerprint hashes exactly the bytes
+// the wire ships.
 //
-// Encoding: integers are fixed-width little-endian, enums are u32,
-// booleans one byte (0 or 1), strings and sequences a u64 count followed
-// by their elements. A sealed image is a body followed by the u64 FNV-1a
-// of that body.
+// Each record spells its fields once, in an `io(a, record)` traversal that
+// Writer and Reader both run: `a(field, ...)` writes or reads the fields in
+// order, so an encoder and its decoder cannot disagree. A field's C++ type
+// picks its encoding: integers are fixed-width little-endian, enums u32,
+// booleans one byte (0 or 1), doubles their IEEE bits, strings and
+// sequences a u64 count followed by their elements. A sealed image is a
+// body followed by the u64 FNV-1a of that body.
 //
 // Decoding never trusts its input: Reader bounds-checks every read and
 // latches the first failure, element counts are capped by the bytes left
-// BEFORE anything is allocated, and the domain decoders validate every
-// enum, index and arity, so malformed bytes yield a clean `false` — never
-// UB, an abort, or a half-valid object the engine would assert on.
+// BEFORE anything is allocated, enums are capped by their `enum_last`, and
+// each traversal's `a.check(...)` rejects what the engine would assert on,
+// so malformed bytes yield a clean `false` — never UB, an abort, or a
+// half-valid object.
 #pragma once
 
 #include <algorithm>
 #include <bit>
+#include <concepts>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <span>
 #include <string>
@@ -28,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/word.h"
 #include "fault/stats.h"
 #include "hls/dfg.h"
 #include "hls/netlist.h"
@@ -44,30 +49,43 @@ inline constexpr std::uint64_t kFnvOffsetBasis = 0xCBF29CE484222325ULL;
   return h;
 }
 
-/// Append-only little-endian encoder.
+/// Append-only little-endian encoder. Every write returns true, so one
+/// traversal serves both directions.
 class Writer {
  public:
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u32(std::uint32_t v) { put(v); }
-  void u64(std::uint64_t v) { put(v); }
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void boolean(bool v) { u8(v ? 1 : 0); }
+  bool u8(std::uint8_t v) {
+    out_.push_back(v);
+    return true;
+  }
+  bool u32(std::uint32_t v) { return put(v); }
+  bool u64(std::uint64_t v) { return put(v); }
+  bool i32(std::int32_t v) { return u32(static_cast<std::uint32_t>(v)); }
+  bool i64(std::int64_t v) { return u64(static_cast<std::uint64_t>(v)); }
+  bool f64(double v) { return u64(std::bit_cast<std::uint64_t>(v)); }
+  bool boolean(bool v) { return u8(v ? 1 : 0); }
   template <class E>
     requires std::is_enum_v<E>
-  void enumeration(E v) {
-    u32(static_cast<std::uint32_t>(v));
+  bool enumeration(E v) {
+    return u32(static_cast<std::uint32_t>(v));
   }
-  void str(std::string_view s) {
+  bool str(std::string_view s) {
     u64(s.size());
     out_.insert(out_.end(), s.begin(), s.end());
+    return true;
   }
   void bytes(std::span<const unsigned char> b) {
     out_.insert(out_.end(), b.begin(), b.end());
   }
   /// Append the FNV-1a of everything written so far (see unseal).
   void seal() { u64(fnv1a(out_)); }
+
+  /// Writes each field in order (see io below).
+  template <class... T>
+  bool operator()(const T&... fields) {
+    return (io(*this, fields) && ...);
+  }
+  /// A decoder's semantic check: an encoder writes what it is given.
+  bool check(bool) { return true; }
 
   void reserve(std::size_t n) { out_.reserve(n); }
   [[nodiscard]] std::size_t size() const { return out_.size(); }
@@ -78,12 +96,13 @@ class Writer {
 
  private:
   template <class U>
-  void put(U v) {
+  bool put(U v) {
     unsigned char b[sizeof(U)];
     for (std::size_t i = 0; i < sizeof(U); ++i) {
       b[i] = static_cast<unsigned char>(v >> (8 * i));
     }
     out_.insert(out_.end(), b, b + sizeof(U));
+    return true;
   }
 
   std::vector<unsigned char> out_;
@@ -129,17 +148,14 @@ class Reader {
     v = b != 0;
     return true;
   }
-  /// An enum no greater than `last`. The default bound only requires the
-  /// value to fit the enum's underlying type, for callers that range-check
-  /// later (hls::validate does so for the campaign options).
+  /// An enum no greater than the last enumerator its header names: the
+  /// `enum_last(E)` found by argument-dependent lookup.
   template <class E>
     requires std::is_enum_v<E>
-  [[nodiscard]] bool enumeration(
-      E& v, E last = static_cast<E>(
-                std::numeric_limits<std::underlying_type_t<E>>::max())) {
+  [[nodiscard]] bool enumeration(E& v) {
     std::uint32_t raw = 0;
     if (!u32(raw)) return false;
-    if (raw > static_cast<std::uint32_t>(last)) return fail();
+    if (raw > static_cast<std::uint32_t>(enum_last(E{}))) return fail();
     v = static_cast<E>(raw);
     return true;
   }
@@ -160,6 +176,14 @@ class Reader {
     if (n > remaining() / std::max<std::size_t>(min_bytes, 1)) return fail();
     return true;
   }
+
+  /// Reads each field in order (see io below); false at the first failure.
+  template <class... T>
+  [[nodiscard]] bool operator()(T&&... fields) {
+    return (io(*this, fields) && ...);
+  }
+  /// A semantic check on fields already read: fails the read unless `ok`.
+  [[nodiscard]] bool check(bool ok) { return ok || fail(); }
 
   [[nodiscard]] std::size_t remaining() const { return bytes_.size() - at_; }
   [[nodiscard]] bool ok() const { return ok_; }
@@ -201,41 +225,160 @@ class Reader {
 }
 
 // ---------------------------------------------------------------------------
-// Shared domain types. Each get_* is the strict inverse of its put_*.
+// Traversals. `io(a, v)` writes v when `a` is a Writer (v const) and reads
+// it when `a` is a Reader.
 
-inline void put_stats(Writer& w, const fault::CampaignStats& s) {
-  w.u64(s.silent_correct);
-  w.u64(s.detected_correct);
-  w.u64(s.detected_erroneous);
-  w.u64(s.masked);
-}
-[[nodiscard]] inline bool get_stats(Reader& r, fault::CampaignStats& s) {
-  return r.u64(s.silent_correct) && r.u64(s.detected_correct) &&
-         r.u64(s.detected_erroneous) && r.u64(s.masked);
+/// S is T, const or not: what a traversal of T accepts.
+template <class S, class T>
+concept Of = std::same_as<std::remove_const_t<S>, T>;
+
+template <class T>
+concept Leaf = std::is_arithmetic_v<T> || std::is_enum_v<T> ||
+               std::same_as<T, std::string>;
+
+/// A leaf field is encoded by its C++ type.
+template <class A, class T>
+  requires Leaf<std::remove_const_t<T>>
+bool io(A& a, T& v) {
+  using U = std::remove_const_t<T>;
+  if constexpr (std::same_as<U, bool>) {
+    return a.boolean(v);
+  } else if constexpr (std::is_enum_v<U>) {
+    return a.enumeration(v);
+  } else if constexpr (std::same_as<U, std::string>) {
+    return a.str(v);
+  } else if constexpr (std::same_as<U, double>) {
+    return a.f64(v);
+  } else if constexpr (std::same_as<U, std::int32_t>) {
+    return a.i32(v);
+  } else if constexpr (std::same_as<U, std::int64_t>) {
+    return a.i64(v);
+  } else if constexpr (std::same_as<U, std::uint32_t>) {
+    return a.u32(v);
+  } else {
+    static_assert(std::same_as<U, std::uint64_t>,
+                  "no wire type for this field: wrap it in as<W>()");
+    return a.u64(v);
+  }
 }
 
-/// Layout of the store entry payload (fu_index as i64).
-void put_result(Writer& w, const hls::NetlistCampaignResult& v);
-[[nodiscard]] bool get_result(Reader& r, hls::NetlistCampaignResult& v);
+/// A field whose wire type W differs from its C++ type T: written as W,
+/// and read back only when the value fits T.
+template <class W, class T>
+struct As {
+  T& v;
+};
+template <class W, class T>
+[[nodiscard]] constexpr As<W, T> as(T& v) {
+  return {v};
+}
+template <class W, class T>
+bool io(Writer& w, const As<W, T>& f) {
+  return w(static_cast<W>(f.v));
+}
+template <class W, class T>
+bool io(Reader& r, const As<W, T>& f) {
+  W wide{};
+  if (!r(wide)) return false;
+  if (!std::in_range<T>(wide)) return r.fail();
+  f.v = static_cast<T>(wide);
+  return true;
+}
+
+/// A sequence: its count, then its elements.
+template <class T>
+bool io(Writer& w, std::span<const T> s) {
+  w.u64(s.size());
+  for (const T& e : s) w(e);
+  return true;
+}
+template <class T>
+bool io(Writer& w, const std::vector<T>& v) {
+  return io(w, std::span<const T>(v));
+}
+
+/// Bytes a value-initialised T encodes to: the least any T takes, which
+/// bounds a decoded count before the sequence is allocated.
+template <class T>
+[[nodiscard]] std::size_t min_encoded_size() {
+  static const std::size_t size = [] {
+    const T v{};
+    Writer w;
+    w(v);
+    return w.size();
+  }();
+  return size;
+}
+
+template <class T>
+bool io(Reader& r, std::vector<T>& v) {
+  std::uint64_t n = 0;
+  if (!r.count(n, min_encoded_size<T>())) return false;
+  v.resize(static_cast<std::size_t>(n));
+  for (T& e : v) {
+    if (!r(e)) return false;
+  }
+  return true;
+}
+
+// ---------------------------------------------------------------------------
+// Shared domain types.
+
+template <class A, Of<fault::CampaignStats> S>
+bool io(A& a, S& s) {
+  return a(s.silent_correct, s.detected_correct, s.detected_erroneous,
+           s.masked);
+}
+
+template <class A, Of<hls::UnitCoverage> U>
+bool io(A& a, U& u) {
+  // FU indices, then SEU pseudo-units after them: never negative.
+  return a(as<std::int64_t>(u.fu_index), u.fu_name, u.faults, u.stats) &&
+         a.check(u.fu_index >= 0);
+}
+
+/// The store entry payload.
+template <class A, Of<hls::NetlistCampaignResult> R>
+bool io(A& a, R& v) {
+  return a(v.fault_universe_size, v.aggregate, v.per_unit);
+}
+
+template <class A, Of<hls::FaultJob> J>
+bool io(A& a, J& job) {
+  // kSeu: fu names a register index and seu_bit a bit within kMaxWidth;
+  // kStuckAt keeps the sentinel, so job equality round-trips.
+  return a(job.fu, job.site.cell, as<std::uint32_t>(job.site.line),
+           job.site.stuck_value, job.kind, job.seu_bit) &&
+         a.check(job.fu >= 0 && job.site.cell >= hw::kNoFault &&
+                 (job.kind == hls::FaultKind::kSeu
+                      ? job.seu_bit >= 0 && job.seu_bit < kMaxWidth
+                      : job.seu_bit == -1));
+}
 
 /// The node array in id order; the decoder replays the builders, so the
 /// port lists are reconstructed, and validates every op, width, arity and
 /// operand reference before the builder that would assert on it runs.
-void put_dfg(Writer& w, const hls::Dfg& g);
-[[nodiscard]] bool get_dfg(Reader& r, hls::Dfg& g);
+bool io(Writer& w, const hls::Dfg& g);
+[[nodiscard]] bool io(Reader& r, hls::Dfg& g);
 
-void put_netlist(Writer& w, const hls::Netlist& n);
-[[nodiscard]] bool get_netlist(Reader& r, hls::Netlist& n);
+bool io(Writer& w, const hls::Netlist& n);
+[[nodiscard]] bool io(Reader& r, hls::Netlist& n);
 
 /// Every option that shapes a campaign's result bits: exactly what the
-/// store fingerprint hashes. The rest of the options (threads, lanes,
-/// backend) are execution settings that the differential suites prove
-/// cannot change a bit.
-void put_result_key(Writer& w, const hls::NetlistCampaignOptions& o);
+/// store fingerprint hashes.
+template <class A, Of<hls::NetlistCampaignOptions> O>
+bool result_key(A& a, O& o) {
+  return a(o.samples_per_fault, o.seed, o.fault_stride, o.fault_dropping,
+           o.duration, o.transient_samples, o.duty_permille, o.seu_faults);
+}
 
-/// put_result_key followed by the execution settings.
-void put_options(Writer& w, const hls::NetlistCampaignOptions& o);
-/// Inverse of put_options; fails unless hls::validate accepts the result.
-[[nodiscard]] bool get_options(Reader& r, hls::NetlistCampaignOptions& o);
+/// The result key, then the execution settings (threads, lanes, backend)
+/// that the differential suites prove cannot change a bit. Decoding fails
+/// unless hls::validate accepts the options.
+template <class A, Of<hls::NetlistCampaignOptions> O>
+bool io(A& a, O& o) {
+  return result_key(a, o) && a(o.threads, o.lanes, o.backend) &&
+         a.check(hls::validate(o).empty());
+}
 
 }  // namespace sck::codec

@@ -1,11 +1,11 @@
-// Strict numeric command-line parsing shared by the example CLIs.
+// Strict number parsing for command-line flags and environment knobs.
 #pragma once
 
 #include <charconv>
 #include <string_view>
 #include <system_error>
 
-namespace sck::examples {
+namespace sck {
 
 /// Parses all of `text` as a number of type T: "", "abc", "12x" and
 /// out-of-range values are errors, never a silent 0 or a truncated prefix.
@@ -27,4 +27,4 @@ template <class T>
   return true;
 }
 
-}  // namespace sck::examples
+}  // namespace sck

@@ -47,6 +47,10 @@ enum class FaultDuration : unsigned char {
   kTransient,
   kIntermittent,
 };
+/// The last FaultDuration: the bound a decoded duration is checked against.
+[[nodiscard]] constexpr FaultDuration enum_last(FaultDuration) {
+  return FaultDuration::kIntermittent;
+}
 
 /// Stateless SplitMix64-style avalanche over (seed, a, b): the single
 /// derivation behind every duty/window decision. A pure function of its

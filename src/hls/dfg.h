@@ -45,6 +45,8 @@ enum class Op : std::uint8_t {
   kAnd,     ///< 1-bit logical and (error logic)
   kOr,      ///< 1-bit logical or (error logic)
 };
+/// The last Op: the bound a decoded Op is checked against.
+[[nodiscard]] constexpr Op enum_last(Op) { return Op::kOr; }
 
 [[nodiscard]] constexpr int op_arity(Op op) {
   switch (op) {

@@ -37,6 +37,9 @@ struct Operand {
 
   friend bool operator==(const Operand&, const Operand&) = default;
 };
+[[nodiscard]] constexpr Operand::Kind enum_last(Operand::Kind) {
+  return Operand::Kind::kWire;
+}
 
 /// One row of the FSM's microcode: in control step `step`, functional unit
 /// `fu` (or combinational glue when fu < 0) executes `op` on the resolved

@@ -489,8 +489,8 @@ std::string validate(const NetlistCampaignOptions& o) {
   if (o.lanes != 0 && !hw::lanes_supported(o.lanes)) {
     return "lanes must be 0 (auto), 64, 128, 256 or 512";
   }
-  if (o.backend > NetlistBackend::kIncremental) return "unknown backend";
-  if (o.duration > fault::FaultDuration::kIntermittent) {
+  if (o.backend > enum_last(NetlistBackend{})) return "unknown backend";
+  if (o.duration > enum_last(fault::FaultDuration{})) {
     return "unknown fault duration";
   }
   if (o.fault_dropping && o.backend != NetlistBackend::kIncremental) {

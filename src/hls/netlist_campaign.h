@@ -82,6 +82,9 @@ struct NetlistCampaignResult {
 /// plane lane, and the incremental one (the default) also replays only
 /// each batch's fault cones.
 enum class NetlistBackend : unsigned char { kScalar, kBatched, kIncremental };
+[[nodiscard]] constexpr NetlistBackend enum_last(NetlistBackend) {
+  return NetlistBackend::kIncremental;
+}
 
 /// Input-stream semantics of the sweep. There is one: streams keyed by
 /// (seed, sample index), so every fault sees IDENTICAL stimuli.
@@ -166,6 +169,9 @@ enum class FaultKind : unsigned char {
   kStuckAt,  ///< FU-internal stuck-at site, lives under the duration model
   kSeu,      ///< one-shot register-bit flip at a hash-derived sample
 };
+[[nodiscard]] constexpr FaultKind enum_last(FaultKind) {
+  return FaultKind::kSeu;
+}
 
 /// One entry of the (strided) fault job list. For kStuckAt: FU index plus
 /// stuck-at site. For kSeu: `fu` is the REGISTER index (netlist.registers)

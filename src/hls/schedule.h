@@ -32,7 +32,11 @@ enum class ResourceClass : unsigned char {
   kCmp,    ///< equality / zero comparators (checker side)
   kLogic,  ///< 1-bit error-reduction gates
 };
-inline constexpr int kResourceClassCount = 5;
+[[nodiscard]] constexpr ResourceClass enum_last(ResourceClass) {
+  return ResourceClass::kLogic;
+}
+inline constexpr int kResourceClassCount =
+    static_cast<int>(enum_last(ResourceClass{})) + 1;
 
 [[nodiscard]] constexpr ResourceClass resource_class(Op op) {
   switch (op) {

@@ -281,16 +281,28 @@ class LaneFaultSetT {
 /// The 64-lane reference lane-fault table.
 using LaneFaultSet = LaneFaultSetT<LaneMask>;
 
-/// Derived convenience ops shared by every adder architecture. An adder
-/// implements the primitive
+/// Derived ops shared by every adder architecture. An adder implements the
+/// scalar and batch primitives
+///   Word add_c_out(Word a, Word b, bool carry_in, bool& carry_out) const;
 ///   P add_c_batch(const BatchWordT<P>& a, const BatchWordT<P>& b,
 ///                 const P& carry_in, BatchWordT<P>& sum) const;
-/// and inherits add/sub/negate on top of it (sub is the g-function path:
+/// and inherits add/sub/negate on top of them (sub is the g-function path:
 /// one's complement of b, carry-in 1; negate is 0 - x on the same chain) —
 /// one definition instead of one copy per architecture.
 template <typename Adder>
-class BatchAdderOps {
+class AdderOps {
  public:
+  /// Sum with explicit carry-in; result truncated to the unit width.
+  [[nodiscard]] Word add_c(Word a, Word b, bool carry_in) const {
+    bool ignored = false;
+    return self().add_c_out(a, b, carry_in, ignored);
+  }
+  [[nodiscard]] Word add(Word a, Word b) const { return add_c(a, b, false); }
+  [[nodiscard]] Word sub(Word a, Word b) const {
+    return add_c(a, trunc(~b, self().width()), true);
+  }
+  [[nodiscard]] Word negate(Word x) const { return sub(0, x); }
+
   template <typename P>
   [[nodiscard]] BatchWordT<P> add_batch(const BatchWordT<P>& a,
                                         const BatchWordT<P>& b) const {

@@ -32,7 +32,7 @@ namespace sck::hw {
 
 /// n-bit flattened carry-lookahead adder with an injectable cell fault.
 class CarryLookaheadAdder : public FaultableUnit,
-      public BatchAdderOps<CarryLookaheadAdder> {
+      public AdderOps<CarryLookaheadAdder> {
  public:
   explicit CarryLookaheadAdder(int width) : FaultableUnit(width) {
     // Precompute the cell kinds after the fixed PG/sum prefix.
@@ -115,20 +115,6 @@ class CarryLookaheadAdder : public FaultableUnit,
     carry_out = ((a + b + cin) >> n) != 0;
     return sum;
   }
-
-  [[nodiscard]] Word add_c(Word a, Word b, bool carry_in) const {
-    bool ignored = false;
-    return add_c_out(a, b, carry_in, ignored);
-  }
-
-  [[nodiscard]] Word add(Word a, Word b) const { return add_c(a, b, false); }
-
-  /// a - b via the g-function (one's complement) and carry-in 1.
-  [[nodiscard]] Word sub(Word a, Word b) const {
-    return add_c(a, trunc(~b, width()), true);
-  }
-
-  [[nodiscard]] Word negate(Word x) const { return sub(0, x); }
 
   // ---- wide bit-parallel API (lane-exact twin of the scalar path) --------
 

@@ -25,7 +25,7 @@ namespace sck::hw {
 
 /// n-bit carry-select adder with an injectable cell fault.
 class CarrySelectAdder : public FaultableUnit,
-      public BatchAdderOps<CarrySelectAdder> {
+      public AdderOps<CarrySelectAdder> {
  public:
   static constexpr int kBlockBits = 4;
 
@@ -96,19 +96,6 @@ class CarrySelectAdder : public FaultableUnit,
     carry_out = carry != 0;
     return sum;
   }
-
-  [[nodiscard]] Word add_c(Word a, Word b, bool carry_in) const {
-    bool ignored = false;
-    return add_c_out(a, b, carry_in, ignored);
-  }
-
-  [[nodiscard]] Word add(Word a, Word b) const { return add_c(a, b, false); }
-
-  [[nodiscard]] Word sub(Word a, Word b) const {
-    return add_c(a, trunc(~b, width()), true);
-  }
-
-  [[nodiscard]] Word negate(Word x) const { return sub(0, x); }
 
   // ---- wide bit-parallel API (lane-exact twin of the scalar path) --------
 

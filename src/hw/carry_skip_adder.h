@@ -23,7 +23,7 @@ namespace sck::hw {
 
 /// n-bit carry-skip adder with an injectable cell fault.
 class CarrySkipAdder : public FaultableUnit,
-      public BatchAdderOps<CarrySkipAdder> {
+      public AdderOps<CarrySkipAdder> {
  public:
   static constexpr int kBlockBits = 4;
 
@@ -102,19 +102,6 @@ class CarrySkipAdder : public FaultableUnit,
     carry_out = carry != 0;
     return sum;
   }
-
-  [[nodiscard]] Word add_c(Word a, Word b, bool carry_in) const {
-    bool ignored = false;
-    return add_c_out(a, b, carry_in, ignored);
-  }
-
-  [[nodiscard]] Word add(Word a, Word b) const { return add_c(a, b, false); }
-
-  [[nodiscard]] Word sub(Word a, Word b) const {
-    return add_c(a, trunc(~b, width()), true);
-  }
-
-  [[nodiscard]] Word negate(Word x) const { return sub(0, x); }
 
   // ---- wide bit-parallel API (lane-exact twin of the scalar path) --------
 

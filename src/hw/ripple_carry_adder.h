@@ -19,7 +19,7 @@ namespace sck::hw {
 
 /// n-bit two's-complement ripple-carry adder with an injectable cell fault.
 class RippleCarryAdder : public FaultableUnit,
-      public BatchAdderOps<RippleCarryAdder> {
+      public AdderOps<RippleCarryAdder> {
  public:
   explicit RippleCarryAdder(int width) : FaultableUnit(width) {}
 
@@ -28,22 +28,9 @@ class RippleCarryAdder : public FaultableUnit,
     return CellKind::kFullAdder;
   }
 
-  /// Sum with explicit carry-in; result truncated to the unit width.
-  [[nodiscard]] Word add_c(Word a, Word b, bool carry_in) const {
-    unsigned carry = carry_in ? 1u : 0u;
-    Word sum = 0;
-    const int n = width();
-    for (int i = 0; i < n; ++i) {
-      const unsigned row = bit(a, i) | (bit(b, i) << 1) | (carry << 2);
-      const unsigned out = eval_cell(i, kFullAdderLut, row);
-      sum |= static_cast<Word>(out & 1u) << i;
-      carry = (out >> 1) & 1u;
-    }
-    return sum;
-  }
-
-  /// Like add_c but also reports the final carry-out (used by the divider's
-  /// restore decision and by overflow analyses).
+  /// Sum with explicit carry-in, truncated to the unit width, and the
+  /// final carry-out (used by the divider's restore decision and by
+  /// overflow analyses).
   [[nodiscard]] Word add_c_out(Word a, Word b, bool carry_in,
                                bool& carry_out) const {
     unsigned carry = carry_in ? 1u : 0u;
@@ -58,17 +45,6 @@ class RippleCarryAdder : public FaultableUnit,
     carry_out = carry != 0;
     return sum;
   }
-
-  /// a + b in the n-bit ring.
-  [[nodiscard]] Word add(Word a, Word b) const { return add_c(a, b, false); }
-
-  /// a - b: g-function (one's complement of b) plus carry-in 1.
-  [[nodiscard]] Word sub(Word a, Word b) const {
-    return add_c(a, trunc(~b, width()), true);
-  }
-
-  /// -x computed as 0 - x on the same chain.
-  [[nodiscard]] Word negate(Word x) const { return sub(0, x); }
 
   // ---- wide bit-parallel API (lane-exact twin of the scalar path) --------
 

@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -13,6 +12,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "common/parse_number.h"
 
 namespace sck::service {
 
@@ -133,10 +134,7 @@ namespace {
 [[nodiscard]] int parse_chaos_rate(const std::string& item,
                                    const std::string& value) {
   int parsed = 0;
-  const char* begin = value.data();
-  const char* end = begin + value.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, parsed);
-  if (ec != std::errc{} || ptr != end || value.empty() || parsed < 0) {
+  if (!parse_number(value, parsed) || parsed < 0) {
     chaos_env_abort("SCK_CHAOS", item,
                     "value must be a non-negative integer");
   }
@@ -151,11 +149,8 @@ bool install_chaos_from_env() {
   std::uint64_t seed = 1;
   const char* s = std::getenv("SCK_CHAOS_SEED");
   if (s != nullptr && s[0] != '\0') {
-    const std::string text(s);
-    const char* end = s + text.size();
-    const auto [ptr, ec] = std::from_chars(s, end, seed);
-    if (ec != std::errc{} || ptr != end || text.empty()) {
-      chaos_env_abort("SCK_CHAOS_SEED", text,
+    if (!parse_number(s, seed)) {
+      chaos_env_abort("SCK_CHAOS_SEED", s,
                       "seed must be an unsigned decimal integer");
     }
     if (seed == 0) seed = 1;

@@ -77,8 +77,9 @@ enum class MsgType : std::uint32_t {
   kError,             ///< either direction: human-readable failure
   kCampaignDone,      ///< daemon -> worker: campaign finished, drop its state
 };
-inline constexpr std::uint32_t kMaxMsgType =
-    static_cast<std::uint32_t>(MsgType::kCampaignDone);
+[[nodiscard]] constexpr MsgType enum_last(MsgType) {
+  return MsgType::kCampaignDone;
+}
 
 /// One decoded frame: validated type + raw payload bytes.
 struct Frame {

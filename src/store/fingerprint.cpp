@@ -107,11 +107,10 @@ Fingerprint campaign_fingerprint(const hls::Dfg& graph,
   codec::Writer w;
   w.u64(kFingerprintVersion);
   // The graph and netlist exactly as the wire ships them to workers.
-  codec::put_dfg(w, graph);
-  codec::put_netlist(w, *plan.netlist);
+  w(graph, *plan.netlist);
   put_plan(w, plan);
   put_universe(w, *plan.netlist);
-  codec::put_result_key(w, options);
+  codec::result_key(w, options);
   return digest(w.view());
 }
 

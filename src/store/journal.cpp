@@ -23,9 +23,18 @@ constexpr std::uint64_t kJournalMagic = 0x004C4E524A'4B4353ULL;
 /// magic + version/reserved + key echo + job count + checksum.
 constexpr std::size_t kJournalHeaderBytes = 8 + 4 + 4 + 8 + 8 + 8 + 8;
 
-/// Record body prefix: shard_id + base + count.
-constexpr std::size_t kRecordFixedBytes = 8 + 8 + 8;
-constexpr std::size_t kStatsBytes = 4 * 8;
+/// What an append writes: the caller's slice, not a copy of it.
+struct ShardView {
+  std::uint64_t shard_id;
+  std::uint64_t base;
+  std::span<const fault::CampaignStats> per_job;
+};
+
+/// The record body, read into a JournalShard and written from a ShardView.
+template <class A, class Shard>
+bool record_body(A& a, Shard& s) {
+  return a(s.shard_id, s.base, s.per_job);
+}
 
 }  // namespace
 
@@ -46,14 +55,13 @@ std::vector<unsigned char> serialize_journal_header(const Fingerprint& key,
 std::vector<unsigned char> serialize_journal_record(
     std::uint64_t shard_id, std::uint64_t base,
     std::span<const fault::CampaignStats> per_job) {
+  codec::Writer body;
+  const ShardView view{shard_id, base, per_job};
+  record_body(body, view);
   codec::Writer w;
-  const std::size_t body = kRecordFixedBytes + per_job.size() * kStatsBytes;
-  w.reserve(8 + body + 8);
-  w.u64(body);
-  w.u64(shard_id);
-  w.u64(base);
-  w.u64(per_job.size());
-  for (const fault::CampaignStats& s : per_job) codec::put_stats(w, s);
+  w.reserve(8 + body.size() + 8);
+  w.u64(body.size());
+  w.bytes(body.view());
   // Sealed over the length prefix AND the body: a torn length cannot
   // steer recovery into misparsing the tail as a fresh record.
   w.seal();
@@ -94,12 +102,8 @@ ShardJournal::ShardJournal(std::string path, const Fingerprint& key,
       codec::Reader prefix(file.subspan(valid));
       std::uint64_t body = 0;
       if (!prefix.u64(body)) break;  // torn length prefix
-      // Bound the body before trusting it: a record can describe at most
-      // the whole job universe.
-      if (body < kRecordFixedBytes ||
-          body > kRecordFixedBytes + job_count * kStatsBytes ||
-          prefix.remaining() < body + 8) {
-        break;  // implausible length, or torn record or checksum
+      if (prefix.remaining() < 8 || body > prefix.remaining() - 8) {
+        break;  // torn record or checksum
       }
       const auto image = codec::unseal(
           file.subspan(valid, 8 + static_cast<std::size_t>(body) + 8));
@@ -108,19 +112,13 @@ ShardJournal::ShardJournal(std::string path, const Fingerprint& key,
       }
       codec::Reader r(image->subspan(8));
       JournalShard shard;
-      std::uint64_t count = 0;
-      if (!r.u64(shard.shard_id) || !r.u64(shard.base) ||
-          !r.count(count, kStatsBytes)) {
+      // done() also rejects a count that disagrees with the body length.
+      if (!record_body(r, shard) || !r.done()) break;
+      // A record describes at most the rest of the job universe.
+      if (shard.base > job_count ||
+          shard.per_job.size() > job_count - shard.base) {
         break;
       }
-      shard.per_job.resize(static_cast<std::size_t>(count));
-      for (fault::CampaignStats& s : shard.per_job) {
-        if (!codec::get_stats(r, s)) break;
-      }
-      // A failed read latches; done() also rejects a count that disagrees
-      // with the body length.
-      if (!r.done()) break;
-      if (shard.base > job_count || count > job_count - shard.base) break;
       valid += 8 + static_cast<std::size_t>(body) + 8;
       if (!seen.insert(shard.shard_id).second) {
         ++recovery_.duplicates;  // pre-crash re-queue duplicate: first wins

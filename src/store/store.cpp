@@ -52,7 +52,7 @@ std::vector<unsigned char> serialize_entry(
     const Fingerprint& key, const hls::NetlistCampaignResult& value) {
   // Payload first, so the header can carry its exact length.
   codec::Writer payload;
-  codec::put_result(payload, value);
+  payload(value);
 
   codec::Writer w;
   w.reserve(kHeaderBytes + payload.size() + 8);
@@ -91,7 +91,7 @@ std::optional<hls::NetlistCampaignResult> deserialize_entry(
   // correctly-checksummed body still fails (defense against truncated
   // writes that happen to re-checksum).
   hls::NetlistCampaignResult result;
-  if (!codec::get_result(r, result) || !r.done()) return std::nullopt;
+  if (!r(result) || !r.done()) return std::nullopt;
   return result;
 }
 

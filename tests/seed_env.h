@@ -4,12 +4,13 @@
 
 #include <gtest/gtest.h>
 
-#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
 #include <string>
 #include <string_view>
+
+#include "common/parse_number.h"
 
 namespace sck::testing_env {
 
@@ -24,9 +25,7 @@ namespace sck::testing_env {
   if (env == nullptr || env[0] == '\0') return fallback;
   const std::string_view text(env);
   std::uint64_t seed = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), seed);
-  if (ec != std::errc{} || ptr != text.data() + text.size()) {
+  if (!parse_number(text, seed)) {
     ADD_FAILURE() << name << "='" << text
                   << "': seed must be an unsigned decimal integer";
     return fallback;

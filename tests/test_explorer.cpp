@@ -460,7 +460,7 @@ TEST(Explorer, BuiltinGridReportPinned) {
   codec::Writer w;
   for (const PointResult& r : report.points) {
     w.u64(r.faults);
-    codec::put_stats(w, r.stats);
+    w(r.stats);
   }
   for (const std::size_t i : report.frontier) w.u64(i);
   EXPECT_EQ(codec::fnv1a(w.view()), 0xECDEA5E8DEF95325ULL);

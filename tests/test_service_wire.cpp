@@ -539,7 +539,8 @@ TEST(WireFrame, ResealedBadMagicAndTypeRejected) {
   }
   {
     std::vector<unsigned char> bad = frame;
-    put_u32_at(bad, 12, kMaxMsgType + 1);  // type out of range
+    put_u32_at(bad, 12,  // type out of range
+               static_cast<std::uint32_t>(enum_last(MsgType{})) + 1);
     reseal(bad);
     EXPECT_FALSE(decode_frame(bad).has_value());
   }
