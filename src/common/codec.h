@@ -198,10 +198,12 @@ class Reader {
   template <class U>
   [[nodiscard]] bool get(U& v) {
     if (!ok_ || remaining() < sizeof(U)) return fail();
-    v = 0;
+    // Assembled in a local: stores through `v` may alias the input bytes.
+    U x = 0;
     for (std::size_t i = 0; i < sizeof(U); ++i) {
-      v |= static_cast<U>(bytes_[at_ + i]) << (8 * i);
+      x |= static_cast<U>(bytes_[at_ + i]) << (8 * i);
     }
+    v = x;
     at_ += sizeof(U);
     return true;
   }

@@ -24,6 +24,8 @@ bool io(A& a, P& p) {
   return a(p.worker_id);
 }
 
+namespace {
+
 /// CampaignSliceRunner's preconditions: netlist ports mirror the graph's.
 [[nodiscard]] bool ports_mirror_graph(const CampaignPayload& c) {
   return c.netlist.input_names.size() == c.graph.inputs().size() &&
@@ -34,6 +36,8 @@ bool io(A& a, P& p) {
              },
              &hls::OutputPort::name);
 }
+
+}  // namespace
 
 template <class A, Of<CampaignPayload> C>
 bool io(A& a, C& c) {

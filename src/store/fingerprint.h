@@ -10,19 +10,13 @@
 // (fixed-width little-endian bytes — native endianness and integer sizes
 // never leak in).
 //
-// POISONING HAZARD: anything that changes the numerical result of a
-// campaign but is NOT hashed here would silently alias distinct campaigns
-// onto one cache slot (hashing something irrelevant only costs misses).
-// The graph and netlist are covered by construction: they are hashed as
-// codec::put_dfg / codec::put_netlist, the very bytes the wire ships to
-// workers, so any field a worker can see is in the key. The options are
-// still kept by hand: codec::put_result_key lists every result-shaping
-// field, and a static_assert on the field count of NetlistCampaignOptions
-// (common/codec.cpp) fails the build when a field is added without being
-// sorted into the result key or the execution settings. Whenever the
-// hashed bytes change, bump kFingerprintVersion so every stale entry
-// misses instead of colliding (tests/test_store.cpp pins golden
-// fingerprint values to make accidental drift loud).
+// POISONING HAZARD: a result-shaping input left out of the hash would
+// alias distinct campaigns onto one cache slot. The graph and netlist are
+// hashed as the very bytes the wire ships to workers, and the options as
+// codec::result_key, the first half of their one field list (a
+// static_assert in common/codec.cpp fails the build on an unlisted
+// field). Whenever the hashed bytes change, bump kFingerprintVersion
+// (tests/test_store.cpp pins golden fingerprint values).
 #pragma once
 
 #include <cstdint>
@@ -53,8 +47,8 @@ struct Fingerprint {
 [[nodiscard]] std::string to_string(const Fingerprint& fp);
 
 /// The campaign key: a two-lane FNV-1a digest of, in order, the version,
-/// codec::put_dfg(graph), codec::put_netlist(*plan.netlist), the compiled
-/// plan, the per-FU stuck-at universe and codec::put_result_key(options) —
+/// the encoded graph and *plan.netlist, the compiled plan, the per-FU
+/// stuck-at universe and codec::result_key(options) —
 /// NOT backend, lanes or threads, which are proven not to affect results.
 /// `plan` must be compiled from the netlist the campaign will run.
 [[nodiscard]] Fingerprint campaign_fingerprint(
