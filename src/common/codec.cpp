@@ -1,7 +1,6 @@
 #include "common/codec.h"
 
 #include "common/word.h"
-#include "hls/schedule.h"
 
 namespace sck::codec {
 
