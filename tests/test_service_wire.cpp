@@ -7,6 +7,8 @@
 // buffering a payload.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -268,7 +270,8 @@ TEST(WireCodec, ShardRequestRoundtrip) {
 
 // ---- pinned payload bytes --------------------------------------------------
 
-/// Campaign setup with every option off its default, so a dropped or
+/// Campaign setup with every option but the backend off its default
+/// (fault dropping needs the default incremental backend), so a dropped or
 /// reordered option field moves the pinned digest.
 [[nodiscard]] CampaignSetupPayload sample_setup(const WireDesign& design) {
   CampaignSetupPayload setup;
@@ -418,13 +421,18 @@ const store::Fingerprint kEntryKey{0x0123456789ABCDEFULL,
   return store::serialize_entry(kEntryKey, *value);
 }
 
+/// Per process, so concurrent runs of this suite do not share the file.
+[[nodiscard]] std::filesystem::path journal_path() {
+  return std::filesystem::path(::testing::TempDir()) /
+         ("sck_wire_canonical." + std::to_string(::getpid()) + ".jrnl");
+}
+
 /// A journal record goes through recovery: written after a valid header,
 /// it either recovers as one shard or is cut off as a torn tail.
 [[nodiscard]] std::optional<std::vector<unsigned char>> recode_journal_record(
     std::span<const unsigned char> record) {
   constexpr std::uint64_t kJobs = 64;
-  const std::filesystem::path path =
-      std::filesystem::path(::testing::TempDir()) / "sck_wire_canonical.jrnl";
+  const std::filesystem::path path = journal_path();
   std::vector<unsigned char> file =
       store::serialize_journal_header(kEntryKey, kJobs);
   file.insert(file.end(), record.begin(), record.end());
@@ -454,6 +462,7 @@ TEST(WirePayload, DecodingIsCanonical) {
       store::serialize_journal_record(
           3, 20, std::vector<fault::CampaignStats>{{1, 2, 3, 4}, {5, 6, 7, 8}}),
       8, recode_journal_record);
+  std::filesystem::remove(journal_path());
 }
 
 // ---- frame layer -----------------------------------------------------------
